@@ -14,7 +14,6 @@ from typing import Any, Sequence
 from . import server as server_mod
 from .config import AppConfig, load_config
 from .policy import Hyperparameters, init_from_scoring
-from .scoring import ground_truth_map
 from .simulation import (
     USER_KINDS,
     run_campaign,
@@ -188,7 +187,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         hesitation = table.entry(category, observation, "hesitation")
         print(f"  {category},{observation},{negation:g},{hesitation:g}")
     print()
-    truth = ground_truth_map(table)
+    truth = table.truth
     print(f"ground-truth map ({len(truth)} triples):")
     states_seen = set()
     for triple in all_observation_triples():

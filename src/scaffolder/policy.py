@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .scoring import ground_truth_map  # noqa: F401  (re-exported for callers)
 from .states import (
     ACTIONS,
     ACTION_INDEX,

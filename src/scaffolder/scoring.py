@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -20,6 +21,7 @@ from .states import (
     CapacityClass,
     CognitiveState,
     GazeClass,
+    GROUND_TRUTH_ACTION,
     HesitationType,
     NegationType,
     ObservationTriple,
@@ -85,6 +87,20 @@ class ScoringTable:
 
     def entry(self, category: str, observation: str, strategy: str) -> float:
         return self.entries[(category, observation, strategy)]
+
+    @cached_property
+    def truth(self) -> dict[ObservationTriple, tuple[CognitiveState, Action]]:
+        """For every triple: its cognitive state and that state's correct action.
+
+        Reduced once per table and shared by every reader, so treat it as
+        read-only; ``ground_truth_map`` hands out a copy.  It is a plain dict
+        so that a table whose map was built still pickles.
+        """
+        result: dict[ObservationTriple, tuple[CognitiveState, Action]] = {}
+        for triple in all_observation_triples():
+            state = reduce_observation(self, triple)
+            result[triple] = (state, GROUND_TRUTH_ACTION[state])
+        return result
 
     def reweighted(self, strategy: str, weight: float) -> "ScoringTable":
         """A new table version with one strategy weight replaced."""
@@ -165,17 +181,11 @@ def reduce_observation(table: ScoringTable, triple: ObservationTriple) -> Cognit
 def ground_truth_map(
     table: ScoringTable,
 ) -> dict[ObservationTriple, tuple[CognitiveState, Action]]:
-    """For every triple: its cognitive state and that state's correct action."""
-    result: dict[ObservationTriple, tuple[CognitiveState, Action]] = {}
-    for triple in all_observation_triples():
-        state = reduce_observation(table, triple)
-        result[triple] = (state, Action(*_state_components(state)))
-    return result
+    """For every triple: its cognitive state and that state's correct action.
 
-
-def _state_components(state: CognitiveState) -> tuple[NegationType, HesitationType]:
-    action = next(a for a, s in STATE_FOR_ACTION.items() if s is state)
-    return action.negation, action.hesitation
+    A copy of ``table.truth``, so the caller may change it freely.
+    """
+    return dict(table.truth)
 
 
 def _rows_to_entries(
@@ -212,8 +222,9 @@ def _parse_scoring_csv(handle) -> ScoringTable:
     return ScoringTable(entries=entries, strategies=strategies)
 
 
+@cache
 def default_scoring_table() -> ScoringTable:
-    """The rubric shipped with the package."""
+    """The rubric shipped with the package, parsed once per process."""
     source = resources.files("scaffolder").joinpath("data/default_scoring.csv")
     with source.open("r", encoding="utf-8", newline="") as handle:
         return _parse_scoring_csv(handle)

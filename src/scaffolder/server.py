@@ -1,7 +1,7 @@
 """Line-delimited JSON service exposing sessions over TCP.
 
 Each inbound line is one UTF-8 JSON object and yields exactly one reply line.
-The protocol has four request kinds (open_session, gaze_event, query_strategy,
+The protocol has five request kinds (open_session, gaze_event, query_strategy,
 task_performance, close_session) answered by session_opened, ack,
 strategy_response, episode_result, session_closed or error.  A query that
 never receives its task_performance times out: the episode is recorded
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .config import AppConfig, config_digest
-from .policy import QTable, init_from_scoring
-from .scoring import ScoringTable, ground_truth_map
+from .policy import init_from_scoring
+from .scoring import ScoringTable
 from .session import Session, SessionConfig, SessionStateError, TaskPerformance
 from .partner_model import PartnerModel
 
@@ -59,7 +59,6 @@ class StrategyService:
         self.table: ScoringTable = self.config.scoring_table()
         self.digest = config_digest(self.config)
         self.sessions: dict[str, Session] = {}
-        self._episode_counts: dict[str, int] = {}
         self._counter = 0
 
     # -- helpers ---------------------------------------------------------
@@ -70,12 +69,6 @@ class StrategyService:
             reply["session"] = session
         return DispatchResult(reply=reply)
 
-    def _new_qtable(self) -> QTable:
-        hyper = self.config.policy
-        if self.config.server.preconfigured:
-            return init_from_scoring(ground_truth_map(self.table), hyper.q_init, hyper)
-        return QTable(hyper)
-
     # -- dispatch --------------------------------------------------------
 
     def dispatch(self, line: str) -> DispatchResult:
@@ -85,7 +78,7 @@ class StrategyService:
             return self._error("empty line")
         try:
             message = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             return self._error(f"malformed json: {exc}")
         if not isinstance(message, dict):
             return self._error("message must be a json object")
@@ -120,9 +113,11 @@ class StrategyService:
     def _open_session(self) -> DispatchResult:
         self._counter += 1
         session_id = f"s-{self._counter:06d}"
+        hyper = self.config.policy
+        q_init = hyper.q_init if self.config.server.preconfigured else 0.0
         session = Session(
             self.table,
-            self._new_qtable(),
+            init_from_scoring(self.table.truth, q_init, hyper),
             partner=PartnerModel(self.config.partner_model),
             config=SessionConfig(
                 reward_decay=self.config.session.reward_decay,
@@ -131,7 +126,6 @@ class StrategyService:
             rng=random.Random(self._counter),
         )
         self.sessions[session_id] = session
-        self._episode_counts[session_id] = 0
         return DispatchResult(
             reply={
                 "kind": "session_opened",
@@ -180,7 +174,6 @@ class StrategyService:
             )
         performance = _parse_performance(message)
         record = session.complete(performance)
-        self._episode_counts[session_id] = record.index
         return DispatchResult(
             reply={
                 "kind": "episode_result",
@@ -194,7 +187,6 @@ class StrategyService:
 
     def _close_session(self, session_id: str, message: Mapping[str, Any]) -> DispatchResult:
         session = self.sessions.pop(session_id)
-        self._episode_counts.pop(session_id, None)
         session.abort_pending()
         return DispatchResult(
             reply={"kind": "session_closed", "session": session_id},

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 from .partner_model import PartnerModel
 from .policy import QTable
-from .scoring import ScoringTable, reduce_observation
+from .scoring import ScoringTable
 from .states import Action, CognitiveState, ObservationTriple
 
 
@@ -130,7 +130,7 @@ class Session:
         if self._pending is not None:
             raise SessionStateError(f"query already pending for task {self._pending.task!r}")
         triple = self.partner.classify(task)
-        state = reduce_observation(self.table, triple)
+        state = self.table.truth[triple][0]
         action = self.qtable.select_action(state, self.rng)
         self.partner.apply_action(action)
         self._pending = _PendingQuery(task=task, triple=triple, state=state, action=action)
@@ -149,7 +149,7 @@ class Session:
             performance, self.config.reward_decay, self.config.reward_scale
         )
         next_triple = self.partner.classify(pending.task)
-        next_state = reduce_observation(self.table, next_triple)
+        next_state = self.table.truth[next_triple][0]
         self.qtable.update(pending.state, pending.action, reward, next_state)
         return self._record(pending, reward)
 

@@ -19,19 +19,13 @@ from __future__ import annotations
 import csv
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import fmean, pstdev
 from typing import Mapping, Sequence
 
 from .policy import Hyperparameters, QTable, init_from_scoring
-from .scoring import (
-    NEGATION,
-    ScoringTable,
-    default_scoring_table,
-    ground_truth_map,
-    reduce_observation,
-)
+from .scoring import NEGATION, ScoringTable, default_scoring_table
 from .session import episode_reward, TaskPerformance
 from .states import (
     Action,
@@ -41,19 +35,43 @@ from .states import (
     NegationType,
     ObservationTriple,
     TaskClass,
-    all_observation_triples,
 )
 
-USER_KINDS = ("A", "B", "C", "D")
+# (kind, negation votes as (category, observation, vote), behaviour flags).
+# Each kind keeps every edit and flag of the kinds above it and adds its own.
+_USER_TYPES = (
+    ("A", (), {}),
+    ("B", (("capacity", "low", 1), ("capacity", "high", 0)), {"negation_rule": True}),
+    (
+        "C",
+        (
+            ("task", "unknown", 1),
+            ("task", "failure", 1),
+            ("task", "misc_enabledness", 0),
+            ("task", "misc_comprehension", 1),
+            ("task", "success", 0),
+        ),
+        {
+            "negation_blocked_tasks": frozenset({TaskClass.MISC_ENABLEDNESS, TaskClass.SUCCESS}),
+            "hesitation_strict": True,
+        },
+    ),
+    (
+        "D",
+        (("gaze", "distracted", 0), ("gaze", "uncertain", 0), ("gaze", "focused", 1)),
+        {"needs_focused_gaze": True},
+    ),
+)
+USER_KINDS = tuple(kind for kind, _, _ in _USER_TYPES)
 
 
 @dataclass(frozen=True)
 class UserModel:
     """A synthetic partner: a private rubric plus behavioural quirks.
 
-    ``true_table`` is the rubric that would describe this partner correctly.
-    The behavioural flags drive outcome generation; they express the same
-    disagreement as the table edits but at the level of observable behaviour.
+    ``true_table`` is descriptive only: the base rubric with this kind's
+    negation votes edited.  Outcomes come from the behavioural flags, and for
+    B, C and D the two disagree on some (triple, action) cells.
     """
 
     kind: str
@@ -83,55 +101,21 @@ class UserModel:
 def make_user(kind: str, table: ScoringTable | None = None) -> UserModel:
     """Build one of the four synthetic user types from a base rubric.
 
-    The users nest: each type keeps all table edits of the previous one and
-    adds its own, so the disagreement with the base rubric grows monotonically
-    (2, 7 and 10 edited votes for B, C and D).
+    The users nest (see ``_USER_TYPES``), so the disagreement with the base
+    rubric grows monotonically: 2, 7 and 10 edited votes for B, C and D.
     """
     if kind not in USER_KINDS:
         raise ValueError(f"unknown user kind {kind!r}, expected one of {USER_KINDS}")
     base = table or default_scoring_table()
-    baseline = ground_truth_map(base)
-    if kind == "A":
-        return UserModel(kind=kind, true_table=base, baseline=baseline)
-
-    true_table = base.with_entry("capacity", "low", NEGATION, 1)
-    true_table = true_table.with_entry("capacity", "high", NEGATION, 0)
-    if kind == "B":
-        return UserModel(
-            kind=kind, true_table=true_table, baseline=baseline, negation_rule=True
-        )
-
-    for observation, vote in (
-        ("unknown", 1),
-        ("failure", 1),
-        ("misc_enabledness", 0),
-        ("misc_comprehension", 1),
-        ("success", 0),
-    ):
-        true_table = true_table.with_entry("task", observation, NEGATION, vote)
-    if kind == "C":
-        return UserModel(
-            kind=kind,
-            true_table=true_table,
-            baseline=baseline,
-            negation_rule=True,
-            negation_blocked_tasks=frozenset(
-                {TaskClass.MISC_ENABLEDNESS, TaskClass.SUCCESS}
-            ),
-            hesitation_strict=True,
-        )
-
-    for observation, vote in (("distracted", 0), ("uncertain", 0), ("focused", 1)):
-        true_table = true_table.with_entry("gaze", observation, NEGATION, vote)
-    return UserModel(
-        kind=kind,
-        true_table=true_table,
-        baseline=baseline,
-        negation_rule=True,
-        negation_blocked_tasks=frozenset({TaskClass.MISC_ENABLEDNESS, TaskClass.SUCCESS}),
-        hesitation_strict=True,
-        needs_focused_gaze=True,
-    )
+    votes: dict[tuple[str, str, str], float] = {}
+    flags: dict = {}
+    for name, edits, quirks in _USER_TYPES:
+        votes.update(((category, value, NEGATION), float(vote)) for category, value, vote in edits)
+        flags.update(quirks)
+        if name == kind:
+            break
+    true_table = replace(base, entries={**base.entries, **votes}) if votes else base
+    return UserModel(kind=kind, true_table=true_table, baseline=base.truth, **flags)
 
 
 def simulate_outcome(
@@ -205,10 +189,12 @@ class RunSpec:
     table: ScoringTable | None = None
 
 
-def _build_qtable(spec: RunSpec, table: ScoringTable) -> QTable:
-    if spec.preconfigured:
-        return init_from_scoring(ground_truth_map(table), spec.hyper.q_init, spec.hyper)
-    return QTable(spec.hyper)
+def _setup(spec: RunSpec) -> tuple[ScoringTable, UserModel, QTable, random.Random]:
+    """What a run needs before its first episode: rubric, user, policy, stream."""
+    table = spec.table or default_scoring_table()
+    q_init = spec.hyper.q_init if spec.preconfigured else 0.0
+    qtable = init_from_scoring(table.truth, q_init, spec.hyper)
+    return table, make_user(spec.user_kind, table), qtable, random.Random(spec.seed)
 
 
 def run_simulation(spec: RunSpec) -> RunResult:
@@ -218,27 +204,23 @@ def run_simulation(spec: RunSpec) -> RunResult:
     times, next observation index.  The value update bootstraps on the next
     episode's observation, chaining the walk together.
     """
-    table = spec.table or default_scoring_table()
-    user = make_user(spec.user_kind, table if spec.table else None)
-    qtable = _build_qtable(spec, table)
-    rng = random.Random(spec.seed)
-
-    triples = all_observation_triples()
-    states = [reduce_observation(table, triple) for triple in triples]
+    table, user, qtable, rng = _setup(spec)
+    # The seeded index stream picks from all_observation_triples() order,
+    # which is the order table.truth is built in.
+    cells = tuple(table.truth.items())
 
     series: list[float] = []
     cumulative = 0.0
-    index = rng.randrange(len(triples))
+    index = rng.randrange(len(cells))
     for _ in range(spec.horizon):
-        triple = triples[index]
-        state = states[index]
+        triple, (state, _) = cells[index]
         action = qtable.select_action(state, rng)
         performance = simulate_outcome(
             user, triple, action, rng, spec.deviation_rate, spec.time_low, spec.time_high
         )
         reward = episode_reward(performance)
-        next_index = rng.randrange(len(triples))
-        qtable.update(state, action, reward, states[next_index])
+        next_index = rng.randrange(len(cells))
+        qtable.update(state, action, reward, cells[next_index][1][0])
         cumulative += reward
         series.append(cumulative)
         index = next_index
@@ -259,10 +241,7 @@ def run_dynamic(spec: RunSpec, script: Sequence[EpisodeScript]) -> RunResult:
     from .partner_model import PartnerModel
     from .session import Session
 
-    table = spec.table or default_scoring_table()
-    user = make_user(spec.user_kind, table if spec.table else None)
-    qtable = _build_qtable(spec, table)
-    rng = random.Random(spec.seed)
+    table, user, qtable, rng = _setup(spec)
     session = Session(table, qtable, partner=PartnerModel(), rng=rng)
 
     def environment(triple: ObservationTriple, action: Action) -> TaskPerformance:

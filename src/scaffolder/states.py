@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import product
 
 
@@ -124,6 +125,7 @@ class ObservationTriple:
         return (self.capacity.value, self.gaze.value, self.task.value)
 
 
+@cache
 def all_observation_triples() -> tuple[ObservationTriple, ...]:
     """All 30 observable triples, in a fixed enumeration order."""
     return tuple(

@@ -265,6 +265,23 @@ class TestGroundTruthMap:
             assert action.negation is NegationType.AFFIRMATION
             assert action.hesitation is HesitationType.NONE
 
+    @given(votes=st.lists(st.integers(0, 1), min_size=20, max_size=20))
+    def test_matches_fresh_reduction(self, default_table, votes):
+        from scaffolder.states import GROUND_TRUTH_ACTION
+
+        default_table.truth  # a derived table must not inherit this map
+        table = default_table
+        for key, vote in zip(sorted(default_table.entries), votes):
+            table = table.with_entry(*key, vote)
+        expected = {}
+        for triple in all_observation_triples():
+            state = reduce_observation(table, triple)
+            expected[triple] = (state, GROUND_TRUTH_ACTION[state])
+        got = ground_truth_map(table)
+        assert got == expected
+        got.clear()
+        assert ground_truth_map(table) == expected
+
     def test_all_one_hesitation_column_forces_hesitation(self, default_table):
         table = default_table
         for (category, observation), _ in EXPECTED_DEFAULT_VOTES.items():

@@ -448,6 +448,9 @@ def junk_lines(count, seed):
         lambda: '"' + "\\u00ff" * rng.randrange(1, 10),
         lambda: "null",
         lambda: '{"kind": "task_performance", "session": "s-000001"}',
+        # past the interpreter's int-string limit: json.loads raises a plain ValueError
+        lambda: '{"kind": "gaze_event", "session": "s-000001", "target": %s}'
+        % ("9" * rng.randrange(4301, 5000)),
     ]
     for _ in range(count):
         yield rng.choice(templates)()

@@ -247,10 +247,14 @@ class TestCampaign:
         second = run_campaign("C", False, runs=20, horizon=40, base_seed=1)
         assert first.results == second.results
 
-    def test_parallel_equals_serial(self):
-        serial = run_campaign("B", True, runs=24, horizon=50, base_seed=7, workers=1)
-        parallel = run_campaign("B", True, runs=24, horizon=50, base_seed=7, workers=3)
-        assert serial.results == parallel.results
+    def test_parallel_equals_serial(self, default_table):
+        # A table whose truth map is already cached must still ship to workers.
+        built = default_table.with_entry("capacity", "low", NEGATION, 1)
+        built.truth
+        for table in (None, built):
+            serial = run_campaign("B", True, runs=24, horizon=50, base_seed=7, table=table, workers=1)
+            parallel = run_campaign("B", True, runs=24, horizon=50, base_seed=7, table=table, workers=3)
+            assert serial.results == parallel.results
 
     def test_censored_runs_counted_at_horizon(self):
         from scaffolder.simulation import RunResult
