@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +35,18 @@ class SimulationConfig:
     solve_time_high: float = 10.0
     seed: int = 0
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        for name in ("runs", "horizon", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.deviation_rate <= 1.0:
+            raise ValueError(f"deviation_rate must be in [0, 1], got {self.deviation_rate}")
+        low, high = self.solve_time_low, self.solve_time_high
+        if not (math.isfinite(low) and math.isfinite(high) and 0.0 <= low <= high):
+            raise ValueError(
+                f"solve times must be finite with 0 <= low <= high, got {low} and {high}"
+            )
 
 
 @dataclass

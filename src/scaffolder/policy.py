@@ -25,6 +25,8 @@ from .states import (
     STATE_INDEX,
 )
 
+_ALL_ACTIONS = tuple(range(len(ACTIONS)))
+
 
 @dataclass(frozen=True)
 class Hyperparameters:
@@ -64,20 +66,24 @@ class QTable:
         return self.visits[STATE_INDEX[state]][ACTION_INDEX[action]]
 
     def select_action(self, state: CognitiveState, rng: random.Random) -> Action:
-        """Epsilon-greedy pick for one state, then decay epsilon.
+        """Epsilon-greedy pick for one state, then decay epsilon."""
+        return ACTIONS[self.select_index(STATE_INDEX[state], rng)]
+
+    def select_index(self, s: int, rng: random.Random) -> int:
+        """``select_action`` by state and action index.
 
         Exploration draws uniformly from the state's never-tried actions while
         any remain, otherwise from all actions.  Exploitation takes the argmax
         and breaks ties uniformly at random.
         """
-        row = self.values[STATE_INDEX[state]]
-        if rng.random() < self.epsilon:
-            visits = self.visits[STATE_INDEX[state]]
-            candidates = [i for i, count in enumerate(visits) if count == 0]
+        epsilon = self.epsilon
+        if rng.random() < epsilon:
+            candidates = [i for i, count in enumerate(self.visits[s]) if count == 0]
             if not candidates:
-                candidates = list(range(len(ACTIONS)))
+                candidates = _ALL_ACTIONS
             choice = candidates[rng.randrange(len(candidates))]
         else:
+            row = self.values[s]
             best = max(row)
             candidates = [i for i, v in enumerate(row) if v == best]
             if len(candidates) == 1:
@@ -86,11 +92,12 @@ class QTable:
                 choice = candidates[rng.randrange(len(candidates))]
         # Decay with a floor, but never raise epsilon: a start below the
         # floor (e.g. epsilon=0 for pure exploitation) stays where it is.
-        self.epsilon = min(
-            self.epsilon,
-            max(self.epsilon * self.hyper.epsilon_decay, self.hyper.epsilon_min),
-        )
-        return ACTIONS[choice]
+        decayed = epsilon * self.hyper.epsilon_decay
+        if decayed < self.hyper.epsilon_min:
+            decayed = self.hyper.epsilon_min
+        if decayed < epsilon:
+            self.epsilon = decayed
+        return choice
 
     def update(
         self,
@@ -102,14 +109,18 @@ class QTable:
         """One temporal-difference step; returns the new cell value."""
         if not math.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward}")
-        s = STATE_INDEX[state]
-        a = ACTION_INDEX[action]
-        bootstrap = max(self.values[STATE_INDEX[next_state]])
-        self.values[s][a] += self.hyper.alpha * (
-            reward + self.hyper.gamma * bootstrap - self.values[s][a]
+        return self.update_index(
+            STATE_INDEX[state], ACTION_INDEX[action], reward, STATE_INDEX[next_state]
+        )
+
+    def update_index(self, s: int, a: int, reward: float, next_s: int) -> float:
+        """``update`` by index, for a reward the caller knows to be finite."""
+        row = self.values[s]
+        row[a] += self.hyper.alpha * (
+            reward + self.hyper.gamma * max(self.values[next_s]) - row[a]
         )
         self.visits[s][a] += 1
-        return self.values[s][a]
+        return row[a]
 
     def save(self, path: str | Path) -> None:
         """Write one row per (state, action) cell: label, label, value, visits."""

@@ -26,14 +26,16 @@ from typing import Mapping, Sequence
 
 from .policy import Hyperparameters, QTable, init_from_scoring
 from .scoring import NEGATION, ScoringTable, default_scoring_table
-from .session import episode_reward, TaskPerformance
+from .session import TaskPerformance, timed_performance_score
 from .states import (
+    ACTIONS,
     Action,
     CapacityClass,
     CognitiveState,
     GazeClass,
     NegationType,
     ObservationTriple,
+    STATE_INDEX,
     TaskClass,
 )
 
@@ -189,12 +191,41 @@ class RunSpec:
     table: ScoringTable | None = None
 
 
-def _setup(spec: RunSpec) -> tuple[ScoringTable, UserModel, QTable, random.Random]:
-    """What a run needs before its first episode: rubric, user, policy, stream."""
+def _setup(spec: RunSpec) -> tuple[ScoringTable, QTable, random.Random]:
+    """What a run needs before its first episode: rubric, policy, stream."""
     table = spec.table or default_scoring_table()
     q_init = spec.hyper.q_init if spec.preconfigured else 0.0
     qtable = init_from_scoring(table.truth, q_init, spec.hyper)
-    return table, make_user(spec.user_kind, table), qtable, random.Random(spec.seed)
+    return table, qtable, random.Random(spec.seed)
+
+
+# (kind, state index of every triple) -> 30x6 success matrix, built once per
+# process from ``performs_well``.  Outcomes depend on a table only through its
+# 30 ground-truth actions, and each state names exactly one, so the state
+# indices key the table by value (tables themselves are unhashable).  Cleared
+# when full, so that a long-lived process stays bounded.
+_OUTCOMES: dict[tuple[str, tuple[int, ...]], tuple[tuple[bool, ...], ...]] = {}
+_OUTCOMES_MAX = 256
+
+
+def _outcome_matrix(
+    kind: str, table: ScoringTable
+) -> tuple[tuple[int, ...], tuple[tuple[bool, ...], ...]]:
+    """State index and ``performs_well`` per action index, for every triple
+    in ``table.truth`` order."""
+    states = tuple(STATE_INDEX[state] for state, _ in table.truth.values())
+    key = (kind, states)
+    wins = _OUTCOMES.get(key)
+    if wins is None:
+        user = make_user(kind, table)
+        wins = tuple(
+            tuple(user.performs_well(triple, action) for action in ACTIONS)
+            for triple in table.truth
+        )
+        if len(_OUTCOMES) >= _OUTCOMES_MAX:
+            _OUTCOMES.clear()
+        _OUTCOMES[key] = wins
+    return states, wins
 
 
 def run_simulation(spec: RunSpec) -> RunResult:
@@ -202,28 +233,33 @@ def run_simulation(spec: RunSpec) -> RunResult:
 
     Per episode the stream is: action selection, deviation draw, two solve
     times, next observation index.  The value update bootstraps on the next
-    episode's observation, chaining the walk together.
+    episode's observation, chaining the walk together.  The loop runs on
+    state and action indices; its outcomes are ``simulate_outcome``'s and its
+    rewards ``episode_reward``'s, and ``tests/oracles.py`` holds the
+    object-level loop it must reproduce draw for draw.
     """
-    table, user, qtable, rng = _setup(spec)
+    table, qtable, rng = _setup(spec)
     # The seeded index stream picks from all_observation_triples() order,
     # which is the order table.truth is built in.
-    cells = tuple(table.truth.items())
+    states, wins = _outcome_matrix(spec.user_kind, table)
+    select, update = qtable.select_index, qtable.update_index
+    draw, uniform, randrange = rng.random, rng.uniform, rng.randrange
+    deviation_rate, low, high = spec.deviation_rate, spec.time_low, spec.time_high
 
     series: list[float] = []
     cumulative = 0.0
-    index = rng.randrange(len(cells))
+    index = randrange(len(states))
     for _ in range(spec.horizon):
-        triple, (state, _) = cells[index]
-        action = qtable.select_action(state, rng)
-        performance = simulate_outcome(
-            user, triple, action, rng, spec.deviation_rate, spec.time_low, spec.time_high
-        )
-        reward = episode_reward(performance)
-        next_index = rng.randrange(len(cells))
-        qtable.update(state, action, reward, cells[next_index][1][0])
+        state = states[index]
+        action = select(state, rng)
+        well = wins[index][action] is not (draw() < deviation_rate)
+        comprehension = timed_performance_score(well, uniform(low, high))
+        enabledness = timed_performance_score(well, uniform(low, high))
+        reward = (comprehension + enabledness) / 2.0
+        index = randrange(len(states))
+        update(state, action, reward, states[index])
         cumulative += reward
         series.append(cumulative)
-        index = next_index
     return RunResult(seed=spec.seed, series=tuple(series))
 
 
@@ -241,7 +277,8 @@ def run_dynamic(spec: RunSpec, script: Sequence[EpisodeScript]) -> RunResult:
     from .partner_model import PartnerModel
     from .session import Session
 
-    table, user, qtable, rng = _setup(spec)
+    table, qtable, rng = _setup(spec)
+    user = make_user(spec.user_kind, table)
     session = Session(table, qtable, partner=PartnerModel(), rng=rng)
 
     def environment(triple: ObservationTriple, action: Action) -> TaskPerformance:

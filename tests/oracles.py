@@ -3,11 +3,20 @@
 These restate the update equations directly on primitives, sharing no code
 with the package, so tests can compare the two implementations on random
 inputs.  Keep them dumb: clarity over speed, no clever refactoring.
+``oracle_run_simulation`` is the one exception: it reuses package objects
+(``make_user``, ``QTable``, ``simulate_outcome``, ``episode_reward``) that are
+themselves checked against the oracles above.
 """
 
 from __future__ import annotations
 
 import math
+import random
+
+from scaffolder.policy import init_from_scoring
+from scaffolder.scoring import default_scoring_table
+from scaffolder.session import episode_reward
+from scaffolder.simulation import RunResult, RunSpec, make_user, simulate_outcome
 
 
 def oracle_capacity(
@@ -123,3 +132,58 @@ def oracle_epsilon_schedule(start: float, decay: float, floor: float, steps: int
             decayed = epsilon
         epsilon = decayed
     return epsilon
+
+
+def oracle_epsilon_greedy(values: list[float], visits: list[int], epsilon: float, rng) -> int:
+    """One action index, drawing from ``rng`` exactly as the policy must:
+    the epsilon draw, then one index draw when exploring or on a tied argmax."""
+    if rng.random() < epsilon:
+        untried = []
+        for index in range(len(visits)):
+            if visits[index] == 0:
+                untried.append(index)
+        if len(untried) == 0:
+            untried = list(range(len(values)))
+        return untried[rng.randrange(len(untried))]
+    best = values[0]
+    for value in values:
+        if value > best:
+            best = value
+    tied = []
+    for index in range(len(values)):
+        if values[index] == best:
+            tied.append(index)
+    if len(tied) == 1:
+        return tied[0]
+    return tied[rng.randrange(len(tied))]
+
+
+def oracle_run_simulation(spec: RunSpec) -> RunResult:
+    """The object-level episode loop that ``run_simulation`` must reproduce.
+
+    Per episode: action selection, deviation draw, two solve times, next
+    observation index, then the value update on the next observation's state.
+    """
+    table = spec.table or default_scoring_table()
+    q_init = spec.hyper.q_init if spec.preconfigured else 0.0
+    qtable = init_from_scoring(table.truth, q_init, spec.hyper)
+    user = make_user(spec.user_kind, table)
+    rng = random.Random(spec.seed)
+    cells = list(table.truth.items())
+
+    series = []
+    cumulative = 0.0
+    index = rng.randrange(len(cells))
+    for _ in range(spec.horizon):
+        triple, (state, _) = cells[index]
+        action = qtable.select_action(state, rng)
+        performance = simulate_outcome(
+            user, triple, action, rng, spec.deviation_rate, spec.time_low, spec.time_high
+        )
+        reward = episode_reward(performance)
+        next_index = rng.randrange(len(cells))
+        qtable.update(state, action, reward, cells[next_index][1][0])
+        cumulative += reward
+        series.append(cumulative)
+        index = next_index
+    return RunResult(seed=spec.seed, series=tuple(series))

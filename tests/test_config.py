@@ -79,6 +79,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"runs": 0},
+            {"runs": -3},
+            {"horizon": 0},
+            {"horizon": -1},
+            {"workers": 0},
+            {"deviation_rate": -0.1},
+            {"deviation_rate": 1.5},
+            {"deviation_rate": float("nan")},
+            {"solve_time_low": -1.0},
+            {"solve_time_low": 5.0, "solve_time_high": 2.0},
+            {"solve_time_high": float("inf")},
+            {"solve_time_low": float("nan")},
+        ],
+    )
+    def test_invalid_simulation_value_rejected(self, values):
+        with pytest.raises(ValueError):
+            load_config(overrides={"simulation": values})
+
 
 class TestDigest:
     def test_stable_for_equal_configs(self):

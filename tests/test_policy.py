@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_epsilon_schedule, oracle_q_update
+from oracles import oracle_epsilon_greedy, oracle_epsilon_schedule, oracle_q_update
 from scaffolder.policy import Hyperparameters, QTable, init_from_scoring
 from scaffolder.states import (
     ACTIONS,
@@ -133,6 +133,23 @@ class TestSelect:
             chosen.append(action)
             qtable.update(STATES[0], action, 0.0, STATES[0])
         assert len(set(chosen)) == 6
+
+    @given(
+        values=st.lists(st.sampled_from([0.0, 0.5, -0.25, 1.0]), min_size=6, max_size=6),
+        visits=st.lists(st.integers(min_value=0, max_value=2), min_size=6, max_size=6),
+        epsilon=st.sampled_from([0.0, 0.3, 0.75, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=200)
+    def test_choice_and_draws_match_oracle(self, values, visits, epsilon, seed):
+        qtable = QTable(Hyperparameters(epsilon=epsilon))
+        qtable.values[2] = list(values)
+        qtable.visits[2] = list(visits)
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            expected = oracle_epsilon_greedy(values, visits, qtable.epsilon, reference)
+            assert qtable.select_index(2, rng) == expected
+            assert rng.getstate() == reference.getstate()
 
     def test_epsilon_decays_after_every_selection(self):
         qtable = QTable(Hyperparameters())

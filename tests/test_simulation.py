@@ -1,14 +1,18 @@
 import csv
+import itertools
 import random
 from dataclasses import replace
 
 import pytest
 
+from oracles import oracle_run_simulation
 from scaffolder.policy import Hyperparameters
 from scaffolder.scoring import HESITATION, NEGATION, scaffolding_score
 from scaffolder.simulation import (
+    USER_KINDS,
     EpisodeScript,
     RunSpec,
+    _outcome_matrix,
     make_user,
     recovery_episode,
     run_campaign,
@@ -22,6 +26,8 @@ from scaffolder.simulation import (
     write_sweep_csv,
 )
 from scaffolder.states import (
+    ACTIONS,
+    STATE_INDEX,
     Action,
     CapacityClass,
     GazeClass,
@@ -37,6 +43,13 @@ T = ObservationTriple
 
 def table_diff(left, right):
     return {key for key in left.entries if left.entries[key] != right.entries[key]}
+
+
+def edited_table(table):
+    """A rubric whose reduction differs from ``table``'s on some triples."""
+    return table.with_entry("capacity", "low", NEGATION, 1).with_entry(
+        "gaze", "focused", HESITATION, 0
+    )
 
 
 class TestMakeUser:
@@ -228,6 +241,50 @@ class TestRun:
         second = run_dynamic(spec, script)
         assert first.series == second.series
         assert len(first.series) == 10
+
+
+class TestKernel:
+    HYPERS = (
+        Hyperparameters(),
+        Hyperparameters(alpha=0.5, gamma=0.95),
+        Hyperparameters(epsilon=0.0),
+        Hyperparameters(epsilon=1.0, epsilon_decay=1.0),
+    )
+
+    @pytest.mark.parametrize("kind", USER_KINDS)
+    def test_matches_object_oracle(self, kind, default_table):
+        tables = (None, edited_table(default_table))
+        for preconfigured, hyper, seed, table in itertools.product(
+            (True, False), self.HYPERS, range(25), tables
+        ):
+            spec = RunSpec(kind, preconfigured, seed, hyper=hyper, table=table)
+            assert run_simulation(spec).series == oracle_run_simulation(spec).series, spec
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            RunSpec("A", True, 3, horizon=0),
+            RunSpec("B", False, 4, horizon=1),
+            RunSpec("C", True, 5, time_low=0.0, time_high=0.0),
+        ],
+    )
+    def test_edge_specs_match_object_oracle(self, spec):
+        assert run_simulation(spec).series == oracle_run_simulation(spec).series
+
+    def test_negative_solve_times_rejected(self):
+        with pytest.raises(ValueError):
+            run_simulation(RunSpec("A", True, 0, time_low=-5.0, time_high=-1.0))
+
+    @pytest.mark.parametrize("kind", USER_KINDS)
+    def test_outcome_matrix_is_performs_well(self, kind, default_table):
+        edited = edited_table(default_table)
+        assert edited.truth != default_table.truth
+        for table in (default_table, edited):
+            states, wins = _outcome_matrix(kind, table)
+            user = make_user(kind, table)
+            assert states == tuple(STATE_INDEX[state] for state, _ in table.truth.values())
+            for row, triple in zip(wins, all_observation_triples(), strict=True):
+                assert row == tuple(user.performs_well(triple, action) for action in ACTIONS)
 
 
 class TestCampaign:
