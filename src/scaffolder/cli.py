@@ -87,29 +87,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> AppConfig:
     overrides: dict[str, Any] = {}
-    policy: dict[str, Any] = {}
-    simulation: dict[str, Any] = {}
-    for name in ("alpha", "gamma", "epsilon"):
-        value = getattr(args, name, None)
-        if value is not None:
-            policy[name] = value
-    for src, dst in (("runs", "runs"), ("horizon", "horizon"), ("seed", "seed"), ("workers", "workers")):
-        value = getattr(args, src, None)
-        if value is not None:
-            simulation[dst] = value
-    if policy:
-        overrides["policy"] = policy
-    if simulation:
-        overrides["simulation"] = simulation
-    return load_config(getattr(args, "config", None), overrides)
+    for section, names in (
+        ("policy", ("alpha", "gamma", "epsilon")),
+        ("simulation", ("runs", "horizon", "seed", "workers")),
+    ):
+        values = {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+        if values:
+            overrides[section] = values
+    return load_config(args.config, overrides)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+def _campaign_args(config: AppConfig) -> dict[str, Any]:
+    """``run_campaign``'s keywords from the simulation and policy sections."""
     sim = config.simulation
-    campaign = run_campaign(
-        args.user,
-        args.preconfigured,
+    return dict(
         runs=sim.runs,
         horizon=sim.horizon,
         base_seed=sim.seed,
@@ -120,6 +111,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         table=config.scoring_table() if config.scoring_csv else None,
         workers=sim.workers,
     )
+
+
+def _cmd_simulate(args: argparse.Namespace, config: AppConfig) -> int:
+    campaign = run_campaign(args.user, args.preconfigured, **_campaign_args(config))
     stats = campaign.summary()
     if args.out:
         write_campaign_csv(campaign, args.out)
@@ -138,17 +133,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    sim = config.simulation
-    rows = run_sweep(
-        runs=sim.runs,
-        horizon=sim.horizon,
-        base_seed=sim.seed,
-        user_kind=args.user,
-        table=config.scoring_table() if config.scoring_csv else None,
-        workers=sim.workers,
-    )
+def _cmd_sweep(args: argparse.Namespace, config: AppConfig) -> int:
+    rows = run_sweep(args.user, **_campaign_args(config))
     write_sweep_csv(rows, args.out)
     for row in rows:
         flag = "T" if row.preconfigured else "F"
@@ -161,8 +147,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def _cmd_serve(args: argparse.Namespace, config: AppConfig) -> int:
     host = port = None
     if args.bind is not None:
         host, port = args.bind
@@ -173,8 +158,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_inspect(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def _cmd_inspect(args: argparse.Namespace, config: AppConfig) -> int:
     table = config.scoring_table()
     print("scoring table:")
     print("  category,observation,negation,hesitation")
@@ -211,13 +195,17 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        config = _config_from_args(args)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
     handlers = {
         "simulate": _cmd_simulate,
         "sweep": _cmd_sweep,
         "serve": _cmd_serve,
         "inspect": _cmd_inspect,
     }
-    return handlers[args.command](args)
+    return handlers[args.command](args, config)
 
 
 if __name__ == "__main__":

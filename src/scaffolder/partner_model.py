@@ -84,10 +84,6 @@ class TaskAwareness:
         return self.outcomes.get(task, TaskClass.UNKNOWN)
 
 
-def _clamp(value: float, low: float, high: float) -> float:
-    return max(low, min(high, value))
-
-
 def update_capacity(state: CapacityState, action: Action, config: PartnerModelConfig) -> CapacityState:
     """Apply one action to the capacity battery.
 

@@ -48,6 +48,8 @@ class Hyperparameters:
             raise ValueError(f"epsilon_decay must be in (0, 1], got {self.epsilon_decay}")
         if self.epsilon_min < 0.0:
             raise ValueError(f"epsilon_min must be >= 0, got {self.epsilon_min}")
+        if not math.isfinite(self.q_init):
+            raise ValueError(f"q_init must be finite, got {self.q_init}")
 
 
 class QTable:

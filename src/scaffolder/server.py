@@ -17,6 +17,8 @@ which connection carries them.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import ctypes
 import json
 import random
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ from typing import Any, Mapping
 from .config import AppConfig, config_digest
 from .policy import init_from_scoring
 from .scoring import ScoringTable
-from .session import Session, SessionConfig, SessionStateError, TaskPerformance
+from .session import Session, SessionStateError, TaskPerformance
 from .partner_model import PartnerModel
 
 REQUEST_KINDS = (
@@ -119,10 +121,7 @@ class StrategyService:
             self.table,
             init_from_scoring(self.table.truth, q_init, hyper),
             partner=PartnerModel(self.config.partner_model),
-            config=SessionConfig(
-                reward_decay=self.config.session.reward_decay,
-                reward_scale=self.config.session.reward_scale,
-            ),
+            config=self.config.session,
             rng=random.Random(self._counter),
         )
         self.sessions[session_id] = session
@@ -233,6 +232,20 @@ def _parse_performance(message: Mapping[str, Any]) -> TaskPerformance:
     )
 
 
+async def _skip_line(reader: asyncio.StreamReader, consumed: int) -> None:
+    """Drop the rest of an over-long line, through its newline or end of input,
+    so that it gets one reply however long it is."""
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.IncompleteReadError:
+            return
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+
+
 class TcpServer:
     """Asyncio shell: line framing, reply serialisation, timeout clock."""
 
@@ -291,8 +304,11 @@ class TcpServer:
         try:
             while True:
                 try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial
+                except asyncio.LimitOverrunError as exc:
+                    await _skip_line(reader, exc.consumed)
                     writer.write(serialize({"kind": "error", "reason": "line too long"}))
                     await writer.drain()
                     continue
@@ -317,6 +333,11 @@ class TcpServer:
 
 async def serve(config: AppConfig, host: str | None = None, port: int | None = None) -> None:
     """Run the service until cancelled."""
+    # asyncio reads each chunk into a new 256 KiB buffer.  Keep glibc from
+    # mapping a fresh one per read, which costs a page fault per request.
+    with contextlib.suppress(OSError, AttributeError, TypeError):
+        ctypes.CDLL(None).mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD
+        ctypes.CDLL(None).mallopt(-1, 2 << 20)  # M_TRIM_THRESHOLD
     server = TcpServer(StrategyService(config), host=host, port=port)
     await server.start()
     bound = server.bound_port

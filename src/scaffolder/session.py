@@ -64,7 +64,9 @@ def episode_reward(
     return scale * (comprehension + enabledness) / 2.0
 
 
-@dataclass(frozen=True)
+# Slotted: a served session holds one record per episode for its lifetime,
+# and a slotted record is one allocation, not an object plus a values block.
+@dataclass(frozen=True, slots=True)
 class EpisodeRecord:
     index: int
     triple: ObservationTriple

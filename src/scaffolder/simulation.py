@@ -17,6 +17,7 @@ triple is fully reproducible, serial or parallel.
 from __future__ import annotations
 
 import csv
+import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -157,10 +158,6 @@ class RunResult:
     @property
     def recovery(self) -> int | None:
         return recovery_episode(self.series)
-
-    @property
-    def censored(self) -> bool:
-        return self.recovery is None
 
 
 def recovery_episode(series: Sequence[float]) -> int | None:
@@ -305,9 +302,6 @@ class CampaignSummary:
 
 @dataclass(frozen=True)
 class CampaignResult:
-    user_kind: str
-    preconfigured: bool
-    hyper: Hyperparameters
     horizon: int
     results: tuple[RunResult, ...]
 
@@ -351,14 +345,13 @@ def run_campaign(
     Parallel execution partitions the same per-run seeds over processes, so
     the result is identical to the serial one.
     """
-    hyper = hyper or Hyperparameters()
     specs = [
         RunSpec(
             user_kind=user_kind,
             preconfigured=preconfigured,
             seed=base_seed + offset,
             horizon=horizon,
-            hyper=hyper,
+            hyper=hyper or Hyperparameters(),
             deviation_rate=deviation_rate,
             time_low=time_low,
             time_high=time_high,
@@ -371,13 +364,7 @@ def run_campaign(
             results = tuple(pool.map(run_simulation, specs, chunksize=max(1, runs // (workers * 4))))
     else:
         results = tuple(run_simulation(spec) for spec in specs)
-    return CampaignResult(
-        user_kind=user_kind,
-        preconfigured=preconfigured,
-        hyper=hyper,
-        horizon=horizon,
-        results=results,
-    )
+    return CampaignResult(horizon=horizon, results=results)
 
 
 SWEEP_ALPHAS = (0.25, 0.5)
@@ -398,43 +385,31 @@ class SweepRow:
 
 
 def run_sweep(
-    runs: int = 500,
-    horizon: int = 100,
-    base_seed: int = 0,
-    user_kind: str = "A",
-    table: ScoringTable | None = None,
-    workers: int = 1,
+    user_kind: str = "A", hyper: Hyperparameters | None = None, **campaign
 ) -> list[SweepRow]:
     """The 12-row hyperparameter study: both initialisations crossed with
-    two learning rates and three discount factors, epsilon fixed."""
+    two learning rates and three discount factors, epsilon fixed.
+
+    ``hyper`` supplies every policy value but the three swept ones; the other
+    keywords go to ``run_campaign`` unchanged.
+    """
+    base = hyper or Hyperparameters()
     rows: list[SweepRow] = []
-    for alpha in SWEEP_ALPHAS:
-        for gamma in SWEEP_GAMMAS:
-            for preconfigured in (False, True):
-                hyper = Hyperparameters(alpha=alpha, gamma=gamma, epsilon=SWEEP_EPSILON)
-                campaign = run_campaign(
-                    user_kind,
-                    preconfigured,
-                    runs=runs,
-                    horizon=horizon,
-                    base_seed=base_seed,
-                    hyper=hyper,
-                    table=table,
-                    workers=workers,
-                )
-                stats = campaign.summary()
-                rows.append(
-                    SweepRow(
-                        preconfigured=preconfigured,
-                        alpha=alpha,
-                        gamma=gamma,
-                        epsilon=SWEEP_EPSILON,
-                        z_mean=stats.z_mean,
-                        z_sd=stats.z_sd,
-                        reward_mean=stats.reward_mean,
-                        reward_sd=stats.reward_sd,
-                    )
-                )
+    for alpha, gamma, preconfigured in itertools.product(SWEEP_ALPHAS, SWEEP_GAMMAS, (False, True)):
+        row_hyper = replace(base, alpha=alpha, gamma=gamma, epsilon=SWEEP_EPSILON)
+        stats = run_campaign(user_kind, preconfigured, hyper=row_hyper, **campaign).summary()
+        rows.append(
+            SweepRow(
+                preconfigured=preconfigured,
+                alpha=alpha,
+                gamma=gamma,
+                epsilon=SWEEP_EPSILON,
+                z_mean=stats.z_mean,
+                z_sd=stats.z_sd,
+                reward_mean=stats.reward_mean,
+                reward_sd=stats.reward_sd,
+            )
+        )
     return rows
 
 

@@ -3,6 +3,8 @@ import csv
 import pytest
 
 from scaffolder.cli import build_parser, main
+from scaffolder.policy import Hyperparameters
+from scaffolder.simulation import run_sweep, write_sweep_csv
 
 
 def run_cli(argv, capsys):
@@ -128,6 +130,23 @@ class TestSimulate:
         assert "runs=4" in out and "horizon=5" in out
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--runs", "0"],
+            ["simulate", "--alpha", "2"],
+            ["sweep", "--horizon", "-1"],
+            ["inspect", "--config", "missing.yaml"],
+        ],
+    )
+    def test_usage_error(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+
+
 class TestSweep:
     def test_writes_twelve_rows(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -150,6 +169,30 @@ class TestSweep:
         run_cli(args + ["--out", str(a)], capsys)
         run_cli(args + ["--out", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_config_file_reaches_every_campaign(self, tmp_path, capsys):
+        config = tmp_path / "app.yaml"
+        config.write_text(
+            "simulation:\n  deviation_rate: 0.2\n  solve_time_low: 2.0\n  solve_time_high: 5.0\n"
+            "policy:\n  q_init: 2.0\n  epsilon_decay: 0.5\n  epsilon_min: 0.1\n"
+        )
+        args = ["sweep", "--user", "B", "--runs", "4", "--horizon", "15", "--seed", "2"]
+        configured, default, expected = (tmp_path / name for name in ("c.csv", "d.csv", "e.csv"))
+        run_cli(args + ["--config", str(config), "--out", str(configured)], capsys)
+        run_cli(args + ["--out", str(default)], capsys)
+        rows = run_sweep(
+            "B",
+            hyper=Hyperparameters(q_init=2.0, epsilon_decay=0.5, epsilon_min=0.1),
+            runs=4,
+            horizon=15,
+            base_seed=2,
+            deviation_rate=0.2,
+            time_low=2.0,
+            time_high=5.0,
+        )
+        write_sweep_csv(rows, expected)
+        assert configured.read_bytes() == expected.read_bytes()
+        assert configured.read_bytes() != default.read_bytes()
 
 
 class TestInspect:

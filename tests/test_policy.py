@@ -43,6 +43,9 @@ class TestHyperparameters:
             {"epsilon": -0.1},
             {"epsilon_decay": 0.0},
             {"epsilon_min": -0.5},
+            {"q_init": math.nan},
+            {"q_init": math.inf},
+            {"q_init": -math.inf},
         ],
     )
     def test_out_of_range_rejected(self, kwargs):

@@ -485,6 +485,31 @@ class TestFuzz:
         assert reply["kind"] == "error"
 
 
+class TestLineFraming:
+    def test_oversized_line_gets_one_reply(self, data_dir):
+        pad = "x" * 1_000_000
+        huge = '{"kind":"gaze_event","session":"s-000001","target":0,"pad":"' + pad + '"}'
+        lines = ['{"kind":"open_session"}', huge, '{"kind":"close_session","session":"s-000001"}']
+
+        async def scenario():
+            server = TcpServer(StrategyService(golden_config(data_dir)), host="127.0.0.1", port=0)
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.bound_port)
+                writer.write("".join(line + "\n" for line in lines).encode("utf-8"))
+                writer.write_eof()
+                received = await asyncio.wait_for(reader.read(), timeout=10)
+                writer.close()
+                await writer.wait_closed()
+                return received
+            finally:
+                await server.close()
+
+        replies = [json.loads(line) for line in asyncio.run(scenario()).splitlines()]
+        assert [reply["kind"] for reply in replies] == ["session_opened", "error", "session_closed"]
+        assert replies[1]["reason"] == "line too long"
+
+
 class TestSerialization:
     def test_replies_are_canonical_json_lines(self, data_dir):
         service = StrategyService(golden_config(data_dir))

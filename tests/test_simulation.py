@@ -364,3 +364,22 @@ class TestCsvOutputs:
         gammas = {row[2] for row in rows[1:]}
         assert alphas == {"0.25", "0.5"}
         assert gammas == {"0.0", "0.5", "0.95"}
+
+
+class TestSweep:
+    def test_row_is_campaign_with_swept_values(self):
+        base = Hyperparameters(q_init=2.0, epsilon_decay=0.5, epsilon_min=0.1)
+        campaign = dict(
+            runs=6, horizon=20, base_seed=4, deviation_rate=0.3, time_low=0.5, time_high=3.0
+        )
+        rows = run_sweep("C", hyper=base, **campaign)
+        row = rows[9]  # alpha 0.5, gamma 0.5, preconfigured
+        assert (row.alpha, row.gamma, row.epsilon, row.preconfigured) == (0.5, 0.5, 0.75, True)
+        hyper = replace(base, alpha=0.5, gamma=0.5, epsilon=0.75)
+        stats = run_campaign("C", True, hyper=hyper, **campaign).summary()
+        assert (row.z_mean, row.z_sd, row.reward_mean, row.reward_sd) == (
+            stats.z_mean,
+            stats.z_sd,
+            stats.reward_mean,
+            stats.reward_sd,
+        )
