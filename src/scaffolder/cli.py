@@ -14,6 +14,7 @@ from typing import Any, Sequence
 from . import server as server_mod
 from .config import AppConfig, load_config
 from .policy import Hyperparameters, init_from_scoring
+from .scoring import CATEGORY_VALUES, HESITATION, NEGATION, ScoringTable
 from .simulation import (
     USER_KINDS,
     run_campaign,
@@ -97,7 +98,7 @@ def _config_from_args(args: argparse.Namespace) -> AppConfig:
     return load_config(args.config, overrides)
 
 
-def _campaign_args(config: AppConfig) -> dict[str, Any]:
+def _campaign_args(config: AppConfig, table: ScoringTable) -> dict[str, Any]:
     """``run_campaign``'s keywords from the simulation and policy sections."""
     sim = config.simulation
     return dict(
@@ -108,13 +109,13 @@ def _campaign_args(config: AppConfig) -> dict[str, Any]:
         deviation_rate=sim.deviation_rate,
         time_low=sim.solve_time_low,
         time_high=sim.solve_time_high,
-        table=config.scoring_table() if config.scoring_csv else None,
+        table=table,
         workers=sim.workers,
     )
 
 
-def _cmd_simulate(args: argparse.Namespace, config: AppConfig) -> int:
-    campaign = run_campaign(args.user, args.preconfigured, **_campaign_args(config))
+def _cmd_simulate(args: argparse.Namespace, config: AppConfig, table: ScoringTable) -> int:
+    campaign = run_campaign(args.user, args.preconfigured, **_campaign_args(config, table))
     stats = campaign.summary()
     if args.out:
         write_campaign_csv(campaign, args.out)
@@ -133,8 +134,8 @@ def _cmd_simulate(args: argparse.Namespace, config: AppConfig) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace, config: AppConfig) -> int:
-    rows = run_sweep(args.user, **_campaign_args(config))
+def _cmd_sweep(args: argparse.Namespace, config: AppConfig, table: ScoringTable) -> int:
+    rows = run_sweep(args.user, **_campaign_args(config, table))
     write_sweep_csv(rows, args.out)
     for row in rows:
         flag = "T" if row.preconfigured else "F"
@@ -147,7 +148,7 @@ def _cmd_sweep(args: argparse.Namespace, config: AppConfig) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace, config: AppConfig) -> int:
+def _cmd_serve(args: argparse.Namespace, config: AppConfig, table: ScoringTable) -> int:
     host = port = None
     if args.bind is not None:
         host, port = args.bind
@@ -158,18 +159,14 @@ def _cmd_serve(args: argparse.Namespace, config: AppConfig) -> int:
     return 0
 
 
-def _cmd_inspect(args: argparse.Namespace, config: AppConfig) -> int:
-    table = config.scoring_table()
+def _cmd_inspect(args: argparse.Namespace, config: AppConfig, table: ScoringTable) -> int:
     print("scoring table:")
     print("  category,observation,negation,hesitation")
-    seen: set[tuple[str, str]] = set()
-    for category, observation, _strategy in table.entries:
-        if (category, observation) in seen:
-            continue
-        seen.add((category, observation))
-        negation = table.entry(category, observation, "negation")
-        hesitation = table.entry(category, observation, "hesitation")
-        print(f"  {category},{observation},{negation:g},{hesitation:g}")
+    for category, values in CATEGORY_VALUES.items():
+        for observation in values:
+            negation = table.entry(category, observation, NEGATION)
+            hesitation = table.entry(category, observation, HESITATION)
+            print(f"  {category},{observation},{negation:g},{hesitation:g}")
     print()
     truth = table.truth
     print(f"ground-truth map ({len(truth)} triples):")
@@ -197,6 +194,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
+        table = config.scoring_table()
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
     handlers = {
@@ -205,7 +203,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "serve": _cmd_serve,
         "inspect": _cmd_inspect,
     }
-    return handlers[args.command](args, config)
+    return handlers[args.command](args, config, table)
 
 
 if __name__ == "__main__":

@@ -57,6 +57,10 @@ class ServerConfig:
     # Whether new sessions start from the rubric-initialised Q-table.
     preconfigured: bool = True
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.query_timeout) and self.query_timeout > 0):
+            raise ValueError(f"query_timeout must be finite and > 0, got {self.query_timeout}")
+
 
 @dataclass
 class AppConfig:
@@ -116,7 +120,10 @@ def load_config(
     raw: dict[str, Any] = {}
     if path is not None:
         text = Path(path).read_text(encoding="utf-8")
-        loaded = yaml.safe_load(text) or {}
+        try:
+            loaded = yaml.safe_load(text) or {}
+        except yaml.YAMLError as exc:
+            raise ValueError(f"config file {path} is not valid YAML: {exc}") from exc
         if not isinstance(loaded, Mapping):
             raise ValueError(f"config file {path} must hold a mapping, got {type(loaded).__name__}")
         raw = dict(loaded)

@@ -14,7 +14,8 @@ the moment:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 from .states import (
     Action,
@@ -51,6 +52,14 @@ class PartnerModelConfig:
     distracted_share: float = 0.4      # max-weight share below this is "distracted"
     focused_shift_max: float = 3.0
     distracted_shift_min: float = 7.0
+
+    def __post_init__(self) -> None:
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{item.name} must be finite, got {value}")
+        if self.num_targets < 1:
+            raise ValueError(f"num_targets must be >= 1, got {self.num_targets}")
 
     def initial_weights(self) -> list[float]:
         return [self.capacity_max / self.num_targets] * self.num_targets
@@ -134,10 +143,11 @@ def update_focus_shift(state: GazeState, fixated: int, config: PartnerModelConfi
 def record_task_outcome(
     awareness: TaskAwareness, task: str, comprehension_ok: bool, enabledness_ok: bool
 ) -> TaskAwareness:
-    """Fold one observed task outcome into the awareness memory.
+    """Fold one observed task outcome into the awareness memory, in place.
 
     Full success and full failure map directly; the mixed cases name the
-    dimension that went wrong.
+    dimension that went wrong.  Returns the same awareness: copying the
+    outcomes per task would make each episode cost grow with the tasks seen.
     """
     if comprehension_ok and enabledness_ok:
         outcome = TaskClass.SUCCESS
@@ -147,9 +157,8 @@ def record_task_outcome(
         outcome = TaskClass.MISC_ENABLEDNESS
     else:
         outcome = TaskClass.MISC_COMPREHENSION
-    outcomes = dict(awareness.outcomes)
-    outcomes[task] = outcome
-    return TaskAwareness(outcomes=outcomes)
+    awareness.outcomes[task] = outcome
+    return awareness
 
 
 def classify_capacity(state: CapacityState, config: PartnerModelConfig) -> CapacityClass:

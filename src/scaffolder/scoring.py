@@ -10,7 +10,7 @@ two hesitation types, and the resulting pair names a cognitive state.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
@@ -106,27 +106,14 @@ class ScoringTable:
         """A new table version with one strategy weight replaced."""
         if strategy not in self.strategies:
             raise KeyError(strategy)
-        weights = dict(self.weights)
-        weights[strategy] = weight
-        return ScoringTable(
-            entries=self.entries,
-            strategies=self.strategies,
-            weights=weights,
-            score_max=self.score_max,
-        )
+        return replace(self, weights={**self.weights, strategy: weight})
 
     def with_entry(self, category: str, observation: str, strategy: str, vote: float) -> "ScoringTable":
         """A new table version with one vote replaced."""
-        if (category, observation, strategy) not in self.entries:
-            raise KeyError((category, observation, strategy))
-        entries = dict(self.entries)
-        entries[(category, observation, strategy)] = float(vote)
-        return ScoringTable(
-            entries=entries,
-            strategies=self.strategies,
-            weights=self.weights,
-            score_max=self.score_max,
-        )
+        key = (category, observation, strategy)
+        if key not in self.entries:
+            raise KeyError(key)
+        return replace(self, entries={**self.entries, key: float(vote)})
 
 
 def _vote_fraction(table: ScoringTable, triple: ObservationTriple, strategy: str) -> float:
@@ -193,6 +180,8 @@ def _rows_to_entries(
 ) -> dict[tuple[str, str, str], float]:
     entries: dict[tuple[str, str, str], float] = {}
     for row in rows:
+        if None in row.values():
+            raise ValueError(f"scoring CSV row needs {2 + len(strategies)} columns, got {row}")
         category = row["category"].strip()
         observation = row["observation"].strip()
         if category not in CATEGORY_VALUES:

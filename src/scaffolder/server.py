@@ -212,7 +212,7 @@ class StrategyService:
 
 
 def _parse_performance(message: Mapping[str, Any]) -> TaskPerformance:
-    parts = {}
+    values: list[Any] = []
     for dimension in ("comprehension", "enabledness"):
         payload = message.get(dimension)
         if not isinstance(payload, Mapping):
@@ -223,13 +223,9 @@ def _parse_performance(message: Mapping[str, Any]) -> TaskPerformance:
             raise ValueError(f"{dimension}.success must be a boolean")
         if isinstance(elapsed, bool) or not isinstance(elapsed, (int, float)):
             raise ValueError(f"{dimension}.time must be a number")
-        parts[dimension] = (success, float(elapsed))
-    return TaskPerformance(
-        comprehension_ok=parts["comprehension"][0],
-        comprehension_time=parts["comprehension"][1],
-        enabledness_ok=parts["enabledness"][0],
-        enabledness_time=parts["enabledness"][1],
-    )
+        values += (success, float(elapsed))
+    # TaskPerformance's fields are (ok, time) per dimension, in this order.
+    return TaskPerformance(*values)
 
 
 async def _skip_line(reader: asyncio.StreamReader, consumed: int) -> None:
@@ -255,6 +251,8 @@ class TcpServer:
         self.port = port if port is not None else service.config.server.port
         self._server: asyncio.AbstractServer | None = None
         self._timers: dict[str, asyncio.TimerHandle] = {}
+        # Live connections: handler task -> its writer, so close() can end them.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(self._handle, self.host, self.port)
@@ -277,6 +275,10 @@ class TcpServer:
         self._timers.clear()
         if self._server is not None:
             self._server.close()
+        for writer in self._connections.values():
+            writer.close()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
 
     def _disarm(self, session_id: str) -> None:
@@ -301,6 +303,8 @@ class TcpServer:
             pass
 
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -324,6 +328,7 @@ class TcpServer:
         except ConnectionError:
             pass
         finally:
+            del self._connections[task]
             try:
                 writer.close()
                 await writer.wait_closed()

@@ -88,13 +88,11 @@ class SessionConfig:
     reward_decay: float = 0.1
     reward_scale: float = 1.0
 
-
-@dataclass
-class _PendingQuery:
-    task: str
-    triple: ObservationTriple
-    state: CognitiveState
-    action: Action
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.reward_decay) and self.reward_decay >= 0):
+            raise ValueError(f"reward_decay must be finite and >= 0, got {self.reward_decay}")
+        if not (math.isfinite(self.reward_scale) and self.reward_scale > 0):
+            raise ValueError(f"reward_scale must be finite and > 0, got {self.reward_scale}")
 
 
 class Session:
@@ -115,11 +113,11 @@ class Session:
         self.rng = rng or random.Random()
         self.records: list[EpisodeRecord] = []
         self.cumulative_reward: float = 0.0
-        self._pending: _PendingQuery | None = None
+        self._pending: tuple[str, QueryResult] | None = None
 
     @property
     def pending_task(self) -> str | None:
-        return self._pending.task if self._pending else None
+        return self._pending[0] if self._pending else None
 
     def ingest_gaze(self, target: int) -> None:
         self.partner.apply_gaze(target)
@@ -130,46 +128,46 @@ class Session:
         The episode stays open until ``complete`` or ``abort_pending``.
         """
         if self._pending is not None:
-            raise SessionStateError(f"query already pending for task {self._pending.task!r}")
+            raise SessionStateError(f"query already pending for task {self._pending[0]!r}")
         triple = self.partner.classify(task)
         state = self.table.truth[triple][0]
         action = self.qtable.select_action(state, self.rng)
         self.partner.apply_action(action)
-        self._pending = _PendingQuery(task=task, triple=triple, state=state, action=action)
-        return QueryResult(triple=triple, state=state, action=action)
+        result = QueryResult(triple=triple, state=state, action=action)
+        self._pending = (task, result)
+        return result
 
     def complete(self, performance: TaskPerformance) -> EpisodeRecord:
         """Close the open episode with an observed task performance."""
         if self._pending is None:
             raise SessionStateError("no pending query")
-        pending = self._pending
+        task, result = self._pending
         self._pending = None
         self.partner.record_outcome(
-            pending.task, performance.comprehension_ok, performance.enabledness_ok
+            task, performance.comprehension_ok, performance.enabledness_ok
         )
         reward = episode_reward(
             performance, self.config.reward_decay, self.config.reward_scale
         )
-        next_triple = self.partner.classify(pending.task)
-        next_state = self.table.truth[next_triple][0]
-        self.qtable.update(pending.state, pending.action, reward, next_state)
-        return self._record(pending, reward)
+        next_state = self.table.truth[self.partner.classify(task)][0]
+        self.qtable.update(result.state, result.action, reward, next_state)
+        return self._record(result, reward)
 
     def abort_pending(self) -> EpisodeRecord | None:
         """Drop the open episode without feedback: recorded, but no value update."""
         if self._pending is None:
             return None
-        pending = self._pending
+        _, result = self._pending
         self._pending = None
-        return self._record(pending, 0.0)
+        return self._record(result, 0.0)
 
-    def _record(self, pending: _PendingQuery, reward: float) -> EpisodeRecord:
+    def _record(self, result: QueryResult, reward: float) -> EpisodeRecord:
         self.cumulative_reward += reward
         record = EpisodeRecord(
             index=len(self.records) + 1,
-            triple=pending.triple,
-            state=pending.state,
-            action=pending.action,
+            triple=result.triple,
+            state=result.state,
+            action=result.action,
             reward=reward,
             cumulative_reward=self.cumulative_reward,
         )

@@ -17,6 +17,7 @@ triple is fully reproducible, serial or parallel.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -327,44 +328,35 @@ def summarize(results: Sequence[RunResult], horizon: int) -> CampaignSummary:
     )
 
 
+def _run_seed(template: RunSpec, seed: int) -> RunResult:
+    """One campaign run; at module level so that a pool can pickle it."""
+    return run_simulation(replace(template, seed=seed))
+
+
 def run_campaign(
     user_kind: str,
     preconfigured: bool,
+    *,
     runs: int = 500,
-    horizon: int = 100,
     base_seed: int = 0,
-    hyper: Hyperparameters | None = None,
-    deviation_rate: float = 0.05,
-    time_low: float = 1.0,
-    time_high: float = 10.0,
-    table: ScoringTable | None = None,
     workers: int = 1,
+    **spec,
 ) -> CampaignResult:
     """A batch of independent runs with seeds base_seed .. base_seed+runs-1.
 
-    Parallel execution partitions the same per-run seeds over processes, so
-    the result is identical to the serial one.
+    ``spec`` takes any other ``RunSpec`` field.  Run i is that template with
+    seed base_seed+i, serial or parallel, so both give the same result; a
+    pool receives the template, table included, once per chunk of runs.
     """
-    specs = [
-        RunSpec(
-            user_kind=user_kind,
-            preconfigured=preconfigured,
-            seed=base_seed + offset,
-            horizon=horizon,
-            hyper=hyper or Hyperparameters(),
-            deviation_rate=deviation_rate,
-            time_low=time_low,
-            time_high=time_high,
-            table=table,
-        )
-        for offset in range(runs)
-    ]
+    template = RunSpec(user_kind, preconfigured, base_seed, **spec)
+    run = functools.partial(_run_seed, template)
+    seeds = range(base_seed, base_seed + runs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = tuple(pool.map(run_simulation, specs, chunksize=max(1, runs // (workers * 4))))
+            results = tuple(pool.map(run, seeds, chunksize=max(1, runs // (workers * 4))))
     else:
-        results = tuple(run_simulation(spec) for spec in specs)
-    return CampaignResult(horizon=horizon, results=results)
+        results = tuple(map(run, seeds))
+    return CampaignResult(horizon=template.horizon, results=results)
 
 
 SWEEP_ALPHAS = (0.25, 0.5)

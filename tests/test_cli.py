@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from scaffolder import server as server_mod
 from scaffolder.cli import build_parser, main
 from scaffolder.policy import Hyperparameters
 from scaffolder.simulation import run_sweep, write_sweep_csv
@@ -138,13 +139,37 @@ class TestConfigErrors:
             ["simulate", "--alpha", "2"],
             ["sweep", "--horizon", "-1"],
             ["inspect", "--config", "missing.yaml"],
+            ["simulate", "--config", "broken.yaml"],
+            ["simulate", "--config", "missing_csv.yaml"],
+            ["inspect", "--config", "short_csv.yaml"],
+            ["sweep", "--config", "bad_vote.yaml"],
+            ["serve", "--bind", "127.0.0.1:0", "--config", "no_targets.yaml"],
         ],
     )
     def test_usage_error(self, argv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
+        header = "category,observation,negation,hesitation\n"
+        files = {
+            "broken.yaml": "simulation: [1,\n",
+            "missing_csv.yaml": "scoring_csv: missing.csv\n",
+            "short_csv.yaml": "scoring_csv: short.csv\n",
+            "short.csv": header + "capacity,low,1\n",
+            "bad_vote.yaml": "scoring_csv: bad_vote.csv\n",
+            "bad_vote.csv": header + "capacity,low,x,1\n",
+            "no_targets.yaml": "partner_model:\n  num_targets: 0\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        started = []
+
+        async def fake_serve(*args, **kwargs):
+            started.append(args)
+
+        monkeypatch.setattr(server_mod, "serve", fake_serve)
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+        assert not started
 
 
 class TestSweep:

@@ -100,10 +100,46 @@ class TestValidation:
         with pytest.raises(ValueError):
             load_config(overrides={"simulation": values})
 
+    @pytest.mark.parametrize(
+        ("section", "values"),
+        [
+            ("partner_model", {"num_targets": 0}),
+            ("partner_model", {"num_targets": -2}),
+            ("partner_model", {"gaze_gain": float("nan")}),
+            ("partner_model", {"capacity_max": float("inf")}),
+            ("partner_model", {"shift_max": float("-inf")}),
+            ("session", {"reward_decay": -1.0}),
+            ("session", {"reward_decay": float("nan")}),
+            ("session", {"reward_decay": float("inf")}),
+            ("session", {"reward_scale": 0.0}),
+            ("session", {"reward_scale": -1.0}),
+            ("session", {"reward_scale": float("nan")}),
+            ("server", {"query_timeout": 0.0}),
+            ("server", {"query_timeout": -1.0}),
+            ("server", {"query_timeout": float("nan")}),
+            ("server", {"query_timeout": float("inf")}),
+        ],
+    )
+    def test_invalid_service_value_rejected(self, section, values):
+        with pytest.raises(ValueError):
+            load_config(overrides={section: values})
+
+    def test_yaml_syntax_error_names_the_file(self, tmp_path):
+        path = tmp_path / "broken.yaml"
+        path.write_text("simulation: [1,\n")
+        with pytest.raises(ValueError, match="broken.yaml"):
+            load_config(path)
+
 
 class TestDigest:
     def test_stable_for_equal_configs(self):
         assert config_digest(AppConfig()) == config_digest(AppConfig())
+
+    def test_valid_configs_keep_their_digest(self, data_dir):
+        # Every session_opened reply carries this fingerprint: checking
+        # values must not change it for a valid config.
+        assert config_digest(AppConfig()) == "f59ded1ecd42"
+        assert config_digest(load_config(data_dir / "golden_config.yaml")) == "79d29a45e942"
 
     def test_changes_when_config_changes(self):
         base = config_digest(load_config())

@@ -194,6 +194,17 @@ class TestTaskAwareness:
         ta = record_task_outcome(ta, "t", True, True)
         assert ta.classify("t") is TaskClass.SUCCESS
 
+    def test_record_outcome_updates_in_place(self):
+        # A copy per outcome would make each episode cost grow with the
+        # number of tasks the session has seen.
+        partner = PartnerModel()
+        outcomes = partner.awareness.outcomes
+        for index in range(3):
+            partner.record_outcome(f"t{index}", True, False)
+        assert partner.awareness.outcomes is outcomes
+        assert len(outcomes) == 3
+        assert partner.classify("t2").task is TaskClass.MISC_ENABLEDNESS
+
 
 class TestClassification:
     def test_capacity_threshold(self):

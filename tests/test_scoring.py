@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import oracle_score
 from scaffolder.scoring import (
+    CATEGORY_VALUES,
     HESITATION,
     NEGATION,
     ScoringTable,
@@ -244,6 +246,45 @@ class TestReduce:
             assert reduce_observation(scaled, triple) is reduce_observation(
                 default_table, triple
             )
+
+
+class TestTableVersions:
+    @pytest.fixture
+    def three_columns(self, default_table):
+        entries = dict(default_table.entries)
+        for category, values in CATEGORY_VALUES.items():
+            entries.update({(category, value, "pause"): 1.0 for value in values})
+        return ScoringTable(
+            entries=entries,
+            strategies=(NEGATION, HESITATION, "pause"),
+            weights={NEGATION: 0.5, "pause": 2.0},
+            score_max={HESITATION: 4, "pause": 5},
+        )
+
+    @staticmethod
+    def assert_only_changed(old, new, name, value):
+        for item in fields(ScoringTable):
+            expected = value if item.name == name else getattr(old, item.name)
+            assert getattr(new, item.name) == expected, item.name
+
+    def test_with_entry_changes_one_vote(self, three_columns):
+        key = ("gaze", "focused", "pause")
+        edited = three_columns.with_entry(*key, 0)
+        self.assert_only_changed(three_columns, edited, "entries", {**three_columns.entries, key: 0.0})
+        assert three_columns.entries[key] == 1.0
+
+    def test_reweighted_changes_one_weight(self, three_columns):
+        edited = three_columns.reweighted("pause", 3.0)
+        expected = {NEGATION: 0.5, HESITATION: 1.0, "pause": 3.0}
+        self.assert_only_changed(three_columns, edited, "weights", expected)
+        assert three_columns.weights["pause"] == 2.0
+
+    def test_new_version_reduces_afresh(self, three_columns):
+        three_columns.truth
+        edited = three_columns.with_entry("capacity", "low", NEGATION, 1)
+        assert edited.truth != three_columns.truth
+        for triple, (state, _) in edited.truth.items():
+            assert state is reduce_observation(edited, triple)
 
 
 class TestGroundTruthMap:

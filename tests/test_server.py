@@ -1,5 +1,6 @@
 import asyncio
 import json
+import logging
 import math
 import random
 import string
@@ -508,6 +509,29 @@ class TestLineFraming:
         replies = [json.loads(line) for line in asyncio.run(scenario()).splitlines()]
         assert [reply["kind"] for reply in replies] == ["session_opened", "error", "session_closed"]
         assert replies[1]["reason"] == "line too long"
+
+
+class TestShutdown:
+    def test_close_ends_live_connections(self, data_dir, caplog):
+        async def scenario():
+            server = TcpServer(StrategyService(golden_config(data_dir)), host="127.0.0.1", port=0)
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.bound_port)
+            writer.write(b'{"kind":"open_session"}\n')
+            await writer.drain()
+            opened = await asyncio.wait_for(reader.readline(), timeout=5)
+            await server.close()
+            # The client is still connected: close() must end its handler.
+            tail = await asyncio.wait_for(reader.read(), timeout=5)
+            writer.close()
+            await writer.wait_closed()
+            return opened, tail
+
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            opened, tail = asyncio.run(scenario())
+        assert json.loads(opened)["kind"] == "session_opened"
+        assert tail == b""
+        assert [record.getMessage() for record in caplog.records] == []
 
 
 class TestSerialization:

@@ -1,7 +1,7 @@
 import csv
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -312,6 +312,36 @@ class TestCampaign:
             serial = run_campaign("B", True, runs=24, horizon=50, base_seed=7, table=table, workers=1)
             parallel = run_campaign("B", True, runs=24, horizon=50, base_seed=7, table=table, workers=3)
             assert serial.results == parallel.results
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_run_is_the_template_with_its_seed(self, default_table, workers):
+        spec = dict(
+            horizon=17,
+            hyper=Hyperparameters(alpha=0.5, gamma=0.5, epsilon=0.3, q_init=0.25),
+            deviation_rate=0.2,
+            time_low=2.0,
+            time_high=4.0,
+            table=edited_table(default_table),
+        )
+        defaults = RunSpec("C", True, 0)
+        for name, value in spec.items():
+            assert value != getattr(defaults, name)
+        assert set(spec) == {item.name for item in fields(RunSpec)} - {
+            "user_kind", "preconfigured", "seed"
+        }
+        campaign = run_campaign("C", True, runs=6, base_seed=40, workers=workers, **spec)
+        assert campaign.horizon == 17
+        assert campaign.results == tuple(
+            run_simulation(RunSpec("C", True, 40 + offset, **spec)) for offset in range(6)
+        )
+
+    def test_positional_campaign_arguments_rejected(self):
+        # Everything after ``preconfigured`` is keyword-only, so a stray
+        # positional value cannot bind to base_seed silently.
+        with pytest.raises(TypeError):
+            run_campaign("A", True, 10, 50)
+        with pytest.raises(TypeError):
+            run_campaign("A", True, 10)
 
     def test_censored_runs_counted_at_horizon(self):
         from scaffolder.simulation import RunResult
