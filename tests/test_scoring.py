@@ -279,13 +279,6 @@ class TestTableVersions:
         self.assert_only_changed(three_columns, edited, "weights", expected)
         assert three_columns.weights["pause"] == 2.0
 
-    def test_new_version_reduces_afresh(self, three_columns):
-        three_columns.truth
-        edited = three_columns.with_entry("capacity", "low", NEGATION, 1)
-        assert edited.truth != three_columns.truth
-        for triple, (state, _) in edited.truth.items():
-            assert state is reduce_observation(edited, triple)
-
 
 class TestGroundTruthMap:
     def test_covers_all_thirty_triples(self, truth):
