@@ -12,7 +12,7 @@ import sys
 from typing import Any, Sequence
 
 from . import server as server_mod
-from .config import AppConfig, load_config
+from .config import AppConfig, ServerConfig, load_config
 from .policy import Hyperparameters, init_from_scoring
 from .scoring import CATEGORY_VALUES, HESITATION, NEGATION, ScoringTable
 from .simulation import (
@@ -40,9 +40,10 @@ def _parse_bind(text: str) -> tuple[str, int]:
     if not sep or not host:
         raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
     try:
-        return host, int(port)
+        bind = ServerConfig(host=host, port=int(port))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad port in {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad port in {text!r}: {exc}") from exc
+    return bind.host, bind.port
 
 
 def build_parser() -> argparse.ArgumentParser:

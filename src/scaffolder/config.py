@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,6 +19,7 @@ import yaml
 
 from .partner_model import PartnerModelConfig
 from .policy import Hyperparameters
+from .schema import bounded, check_fields
 from .scoring import ScoringTable, default_scoring_table, load_scoring_table
 from .session import SessionConfig
 
@@ -28,38 +28,31 @@ CONFIG_ENV_VAR = "SCAFFOLDER_CONFIG"
 
 @dataclass
 class SimulationConfig:
-    runs: int = 500
-    horizon: int = 100
-    deviation_rate: float = 0.05
-    solve_time_low: float = 1.0
+    runs: int = bounded(500, 1)
+    horizon: int = bounded(100, 1)
+    deviation_rate: float = bounded(0.05, 0.0, 1.0)
+    solve_time_low: float = bounded(1.0, 0.0)
     solve_time_high: float = 10.0
     seed: int = 0
-    workers: int = 1
+    workers: int = bounded(1, 1)
 
     def __post_init__(self) -> None:
-        for name in ("runs", "horizon", "workers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 <= self.deviation_rate <= 1.0:
-            raise ValueError(f"deviation_rate must be in [0, 1], got {self.deviation_rate}")
+        check_fields(self)
         low, high = self.solve_time_low, self.solve_time_high
-        if not (math.isfinite(low) and math.isfinite(high) and 0.0 <= low <= high):
-            raise ValueError(
-                f"solve times must be finite with 0 <= low <= high, got {low} and {high}"
-            )
+        if low > high:
+            raise ValueError(f"solve_time_low must be <= solve_time_high, got {low} and {high}")
 
 
 @dataclass
 class ServerConfig:
     host: str = "127.0.0.1"
-    port: int = 8089
-    query_timeout: float = 60.0
+    port: int = bounded(8089, 0, 65535)
+    query_timeout: float = bounded(60.0, 0.0, open_low=True)
     # Whether new sessions start from the rubric-initialised Q-table.
     preconfigured: bool = True
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.query_timeout) and self.query_timeout > 0):
-            raise ValueError(f"query_timeout must be finite and > 0, got {self.query_timeout}")
+        check_fields(self)
 
 
 @dataclass

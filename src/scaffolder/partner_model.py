@@ -14,9 +14,9 @@ the moment:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
+from .schema import bounded, check_fields
 from .states import (
     Action,
     CapacityClass,
@@ -39,7 +39,7 @@ class PartnerModelConfig:
     nondemanding_cost: float = 10.0    # drain of any other action
     capacity_threshold: float = 50.0   # high/low boundary
 
-    num_targets: int = 3
+    num_targets: int = bounded(3, 1)
     gaze_gain: float = 10.0            # weight gained by the fixated target
     weight_min: float = 0.0
 
@@ -54,12 +54,7 @@ class PartnerModelConfig:
     distracted_shift_min: float = 7.0
 
     def __post_init__(self) -> None:
-        for item in fields(self):
-            value = getattr(self, item.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{item.name} must be finite, got {value}")
-        if self.num_targets < 1:
-            raise ValueError(f"num_targets must be >= 1, got {self.num_targets}")
+        check_fields(self)
 
     def initial_weights(self) -> list[float]:
         return [self.capacity_max / self.num_targets] * self.num_targets

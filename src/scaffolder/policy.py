@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+from .schema import bounded, check_fields
 from .states import (
     ACTIONS,
     ACTION_INDEX,
@@ -30,26 +31,15 @@ _ALL_ACTIONS = tuple(range(len(ACTIONS)))
 
 @dataclass(frozen=True)
 class Hyperparameters:
-    alpha: float = 0.25
-    gamma: float = 0.0
-    epsilon: float = 0.75
-    epsilon_decay: float = 0.95
-    epsilon_min: float = 0.01
+    alpha: float = bounded(0.25, 0.0, 1.0, open_low=True)
+    gamma: float = bounded(0.0, 0.0, 1.0, open_high=True)
+    epsilon: float = bounded(0.75, 0.0, 1.0)
+    epsilon_decay: float = bounded(0.95, 0.0, 1.0, open_low=True)
+    epsilon_min: float = bounded(0.01, 0.0)
     q_init: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if not 0.0 < self.epsilon_decay <= 1.0:
-            raise ValueError(f"epsilon_decay must be in (0, 1], got {self.epsilon_decay}")
-        if self.epsilon_min < 0.0:
-            raise ValueError(f"epsilon_min must be >= 0, got {self.epsilon_min}")
-        if not math.isfinite(self.q_init):
-            raise ValueError(f"q_init must be finite, got {self.q_init}")
+        check_fields(self)
 
 
 class QTable:

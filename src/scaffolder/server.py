@@ -107,7 +107,7 @@ class StrategyService:
             return handler(session_id, message)
         except SessionStateError as exc:
             return self._error(str(exc), session_id)
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
             return self._error(f"invalid message: {exc}", session_id)
 
     # -- handlers --------------------------------------------------------

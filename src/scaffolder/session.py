@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 from .partner_model import PartnerModel
 from .policy import QTable
+from .schema import bounded, check_fields
 from .scoring import ScoringTable
 from .states import Action, CognitiveState, ObservationTriple
 
@@ -85,14 +86,11 @@ class QueryResult:
 
 @dataclass
 class SessionConfig:
-    reward_decay: float = 0.1
-    reward_scale: float = 1.0
+    reward_decay: float = bounded(0.1, 0.0)
+    reward_scale: float = bounded(1.0, 0.0, open_low=True)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.reward_decay) and self.reward_decay >= 0):
-            raise ValueError(f"reward_decay must be finite and >= 0, got {self.reward_decay}")
-        if not (math.isfinite(self.reward_scale) and self.reward_scale > 0):
-            raise ValueError(f"reward_scale must be finite and > 0, got {self.reward_scale}")
+        check_fields(self)
 
 
 class Session:

@@ -39,9 +39,11 @@ class TestParser:
             args = parser.parse_args(["simulate", "--preconfigured", text])
             assert args.preconfigured is value
 
-    def test_bad_bind_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--bind", "no-port-here"])
+    @pytest.mark.parametrize("bind", ["no-port-here", "127.0.0.1:70000", "127.0.0.1:-1"])
+    def test_bad_bind_rejected(self, bind):
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(["serve", "--bind", bind])
+        assert err.value.code == 2
 
 
 class TestSimulate:
@@ -144,6 +146,10 @@ class TestConfigErrors:
             ["inspect", "--config", "short_csv.yaml"],
             ["sweep", "--config", "bad_vote.yaml"],
             ["serve", "--bind", "127.0.0.1:0", "--config", "no_targets.yaml"],
+            ["simulate", "--config", "quoted_runs.yaml"],
+            ["serve", "--config", "fractional_targets.yaml"],
+            ["serve", "--config", "quoted_bool.yaml"],
+            ["serve", "--config", "big_port.yaml"],
         ],
     )
     def test_usage_error(self, argv, tmp_path, monkeypatch):
@@ -157,6 +163,10 @@ class TestConfigErrors:
             "bad_vote.yaml": "scoring_csv: bad_vote.csv\n",
             "bad_vote.csv": header + "capacity,low,x,1\n",
             "no_targets.yaml": "partner_model:\n  num_targets: 0\n",
+            "quoted_runs.yaml": 'simulation:\n  runs: "5"\n',
+            "fractional_targets.yaml": "partner_model:\n  num_targets: 2.5\n",
+            "quoted_bool.yaml": 'server:\n  preconfigured: "false"\n',
+            "big_port.yaml": "server:\n  port: 70000\n",
         }
         for name, text in files.items():
             (tmp_path / name).write_text(text)

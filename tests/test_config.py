@@ -1,6 +1,20 @@
-import pytest
+import dataclasses
 
-from scaffolder.config import CONFIG_ENV_VAR, AppConfig, config_digest, load_config
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scaffolder.config import (
+    CONFIG_ENV_VAR,
+    AppConfig,
+    ServerConfig,
+    SimulationConfig,
+    config_digest,
+    load_config,
+)
+from scaffolder.partner_model import PartnerModelConfig
+from scaffolder.policy import Hyperparameters
+from scaffolder.session import SessionConfig
 
 
 class TestDefaults:
@@ -124,6 +138,52 @@ class TestValidation:
         with pytest.raises(ValueError):
             load_config(overrides={section: values})
 
+    @pytest.mark.parametrize(
+        ("section", "values"),
+        [
+            ("simulation", {"runs": "500"}),
+            ("server", {"query_timeout": "5"}),
+            ("policy", {"alpha": None}),
+            ("simulation", {"runs": True}),
+            ("policy", {"epsilon": True}),
+            ("simulation", {"runs": 2.5}),
+            ("partner_model", {"num_targets": 2.5}),
+            ("server", {"preconfigured": "false"}),
+            ("server", {"host": 5}),
+            ("server", {"port": -5}),
+            ("server", {"port": "x"}),
+            ("server", {"port": True}),
+            ("server", {"port": 70000}),
+            ("partner_model", {"capacity_max": 10**400}),
+        ],
+    )
+    def test_wrong_type_or_range_rejected(self, section, values):
+        (name,) = values
+        with pytest.raises(ValueError, match=name):
+            load_config(overrides={section: values})
+
+    @pytest.mark.parametrize(
+        ("cls", "kwargs"),
+        [
+            (Hyperparameters, {"alpha": "0.5"}),
+            (SessionConfig, {"reward_scale": None}),
+            (PartnerModelConfig, {"num_targets": 2.5}),
+        ],
+    )
+    def test_direct_construction_checked(self, cls, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            cls(**kwargs)
+
+    def test_yaml_exponent_needs_a_dot(self, tmp_path):
+        # PyYAML reads 1e-3 as a string; values are never converted.
+        path = tmp_path / "config.yaml"
+        path.write_text("policy:\n  epsilon_min: 1e-3\n")
+        with pytest.raises(ValueError, match="epsilon_min"):
+            load_config(path)
+        path.write_text("policy:\n  epsilon_min: 1.0e-3\n")
+        assert load_config(path).policy.epsilon_min == 0.001
+
     def test_yaml_syntax_error_names_the_file(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("simulation: [1,\n")
@@ -146,3 +206,39 @@ class TestDigest:
         changed = config_digest(load_config(overrides={"policy": {"epsilon": 0.0}}))
         assert base != changed
         assert len(base) == 12
+
+
+SECTION_FIELDS = [
+    (section, item.name)
+    for section, cls in (
+        ("partner_model", PartnerModelConfig),
+        ("policy", Hyperparameters),
+        ("session", SessionConfig),
+        ("simulation", SimulationConfig),
+        ("server", ServerConfig),
+    )
+    for item in dataclasses.fields(cls)
+]
+
+ANY_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=5),
+)
+
+
+class TestSchemaProperty:
+    # Loads configs only: a valid but huge num_targets would allocate that
+    # many gaze weights in a session.
+    @settings(max_examples=300)
+    @given(target=st.sampled_from(SECTION_FIELDS), value=ANY_VALUE)
+    def test_value_is_kept_exactly_or_rejected(self, target, value):
+        section, name = target
+        try:
+            config = load_config(overrides={section: {name: value}})
+        except ValueError:
+            return
+        kept = getattr(getattr(config, section), name)
+        assert type(kept) is type(value) and kept == value

@@ -46,6 +46,7 @@ class TestHyperparameters:
             {"q_init": math.nan},
             {"q_init": math.inf},
             {"q_init": -math.inf},
+            {"epsilon_min": math.inf},
         ],
     )
     def test_out_of_range_rejected(self, kwargs):

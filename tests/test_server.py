@@ -242,6 +242,34 @@ class TestProtocolValidation:
         ).reply
         assert good["kind"] == "episode_result"
 
+    def test_oversized_integer_time_rejected(self, service):
+        session = self.open(service)
+        service.dispatch(json.dumps({"kind": "query_strategy", "session": session, "task": "t"}))
+        huge = json.dumps(
+            {
+                "kind": "task_performance",
+                "session": session,
+                "comprehension": {"success": True, "time": 10**400},
+                "enabledness": {"success": True, "time": 1.0},
+            }
+        )
+        reply = service.dispatch(huge).reply
+        assert reply["kind"] == "error"
+        assert reply["session"] == session
+        # the query is still pending and answerable
+        good = service.dispatch(
+            json.dumps(
+                {
+                    "kind": "task_performance",
+                    "session": session,
+                    "comprehension": {"success": True, "time": 1.0},
+                    "enabledness": {"success": True, "time": 1.0},
+                }
+            )
+        ).reply
+        assert good["kind"] == "episode_result"
+        assert good["episode"] == 1
+
     def test_close_unknown_session(self, service):
         reply = service.dispatch('{"kind":"close_session","session":"s-9"}').reply
         assert reply["kind"] == "error"
@@ -479,6 +507,23 @@ class TestFuzz:
         assert all(r["kind"] == "error" for r in parsed[:-1])
         # after a thousand hostile lines the service still works
         assert parsed[-1]["kind"] == "session_opened"
+
+    def test_oversized_integer_keeps_connection(self, data_dir):
+        lines = [
+            '{"kind":"open_session"}',
+            '{"kind":"query_strategy","session":"s-000001","task":"t"}',
+            '{"kind":"task_performance","session":"s-000001",'
+            '"comprehension":{"success":true,"time":' + "9" * 400 + "},"
+            '"enabledness":{"success":true,"time":1.0}}',
+            '{"kind":"close_session","session":"s-000001"}',
+        ]
+
+        async def scenario():
+            return await tcp_exchange(golden_config(data_dir), lines)
+
+        replies = [json.loads(r) for r in asyncio.run(scenario())]
+        kinds = [reply["kind"] for reply in replies]
+        assert kinds == ["session_opened", "strategy_response", "error", "session_closed"]
 
     def test_deep_nesting_handled(self, data_dir):
         service = StrategyService(golden_config(data_dir))
