@@ -40,10 +40,9 @@ def _parse_bind(text: str) -> tuple[str, int]:
     if not sep or not host:
         raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
     try:
-        bind = ServerConfig(host=host, port=int(port))
+        return host, ServerConfig(host=host, port=int(port)).port
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad port in {text!r}: {exc}") from exc
-    return bind.host, bind.port
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,7 +19,7 @@ import yaml
 
 from .partner_model import PartnerModelConfig
 from .policy import Hyperparameters
-from .schema import bounded, check_fields
+from .schema import Checked, bounded
 from .scoring import ScoringTable, default_scoring_table, load_scoring_table
 from .session import SessionConfig
 
@@ -27,7 +27,7 @@ CONFIG_ENV_VAR = "SCAFFOLDER_CONFIG"
 
 
 @dataclass
-class SimulationConfig:
+class SimulationConfig(Checked):
     runs: int = bounded(500, 1)
     horizon: int = bounded(100, 1)
     deviation_rate: float = bounded(0.05, 0.0, 1.0)
@@ -37,22 +37,19 @@ class SimulationConfig:
     workers: int = bounded(1, 1)
 
     def __post_init__(self) -> None:
-        check_fields(self)
+        super().__post_init__()
         low, high = self.solve_time_low, self.solve_time_high
         if low > high:
             raise ValueError(f"solve_time_low must be <= solve_time_high, got {low} and {high}")
 
 
 @dataclass
-class ServerConfig:
+class ServerConfig(Checked):
     host: str = "127.0.0.1"
     port: int = bounded(8089, 0, 65535)
     query_timeout: float = bounded(60.0, 0.0, open_low=True)
     # Whether new sessions start from the rubric-initialised Q-table.
     preconfigured: bool = True
-
-    def __post_init__(self) -> None:
-        check_fields(self)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .schema import bounded, check_fields
+from .schema import Checked, bounded
 from .states import (
     Action,
     CapacityClass,
@@ -29,7 +29,7 @@ from .states import (
 
 
 @dataclass
-class PartnerModelConfig:
+class PartnerModelConfig(Checked):
     """Constants of the partner model; defaults match the reference setup."""
 
     capacity_max: float = 100.0
@@ -39,7 +39,7 @@ class PartnerModelConfig:
     nondemanding_cost: float = 10.0    # drain of any other action
     capacity_threshold: float = 50.0   # high/low boundary
 
-    num_targets: int = bounded(3, 1)
+    num_targets: int = bounded(3, 1, 1000)  # a session holds a weight per target
     gaze_gain: float = 10.0            # weight gained by the fixated target
     weight_min: float = 0.0
 
@@ -52,9 +52,6 @@ class PartnerModelConfig:
     distracted_share: float = 0.4      # max-weight share below this is "distracted"
     focused_shift_max: float = 3.0
     distracted_shift_min: float = 7.0
-
-    def __post_init__(self) -> None:
-        check_fields(self)
 
     def initial_weights(self) -> list[float]:
         return [self.capacity_max / self.num_targets] * self.num_targets

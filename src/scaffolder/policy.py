@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .schema import bounded, check_fields
+from .schema import Checked, bounded
 from .states import (
     ACTIONS,
     ACTION_INDEX,
@@ -30,16 +30,13 @@ _ALL_ACTIONS = tuple(range(len(ACTIONS)))
 
 
 @dataclass(frozen=True)
-class Hyperparameters:
+class Hyperparameters(Checked):
     alpha: float = bounded(0.25, 0.0, 1.0, open_low=True)
     gamma: float = bounded(0.0, 0.0, 1.0, open_high=True)
     epsilon: float = bounded(0.75, 0.0, 1.0)
     epsilon_decay: float = bounded(0.95, 0.0, 1.0, open_low=True)
     epsilon_min: float = bounded(0.01, 0.0)
     q_init: float = 0.5
-
-    def __post_init__(self) -> None:
-        check_fields(self)
 
 
 class QTable:

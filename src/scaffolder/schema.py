@@ -1,52 +1,42 @@
-"""Declared config fields: each field's type is its annotation, its range sits
-in its metadata, and ``check_fields`` checks both for every field at once.
-
-Values are checked, never converted, so a valid record keeps its exact values.
-"""
-
-from __future__ import annotations
+"""Config records type each field by its annotation and range it with
+``bounded``; ``check_fields`` checks both and never converts a value."""
 
 import dataclasses
 import math
 import sys
 from typing import Any
 
-# Annotation (a string under postponed evaluation) -> accepted types.  A bool
-# is an int to Python, so it is refused everywhere but in a bool field.
+_MAX = sys.float_info.max
+# A bool is an int to Python, so only a bool field takes one.
 _ACCEPTS = {"int": int, "float": (int, float), "bool": bool, "str": str}
+_UNBOUNDED = (-math.inf, math.inf, False, False, "")
 
 
-def bounded(
-    default: Any,
-    low: float = -math.inf,
-    high: float = math.inf,
-    *,
-    open_low: bool = False,
-    open_high: bool = False,
-) -> Any:
-    """A dataclass field whose value must lie between ``low`` and ``high``;
-    an ``open_`` flag excludes that end."""
-    return dataclasses.field(default=default, metadata={"range": (low, high, open_low, open_high)})
+def bounded(default: Any, low: float = -math.inf, high: float = math.inf, *,
+            open_low: bool = False, open_high: bool = False) -> Any:
+    """A field that must lie in [low, high]; an ``open_`` flag excludes that end."""
+    label = f"{'(' if open_low else '['}{low:g}, {high:g}{')' if open_high else ']'}"
+    return dataclasses.field(default=default, metadata={"range": (low, high, open_low, open_high, label)})
 
 
 def check_fields(record: Any) -> None:
-    """Raise ``ValueError`` naming the first field of the dataclass ``record``
-    whose value has the wrong type, is not finite (float fields) or is out of
-    its declared range."""
+    """Raise ValueError naming the first field of the wrong type or out of range."""
     for item in dataclasses.fields(record):
         name, kind, value = item.name, item.type, getattr(record, item.name)
         if not isinstance(value, _ACCEPTS[kind]) or (isinstance(value, bool) and kind != "bool"):
             raise ValueError(f"{name} must be {kind}, got {value!r}")
-        # Compared, not math.isfinite: that raises OverflowError on a huge int.
-        if kind == "float" and not -sys.float_info.max <= value <= sys.float_info.max:
-            raise ValueError(f"{name} must be finite, got {value!r}")
-        if "range" not in item.metadata:
+        if kind in ("bool", "str"):
             continue
-        low, high, open_low, open_high = item.metadata["range"]
-        below = value <= low if open_low else value < low
-        above = value >= high if open_high else value > high
-        if below or above:
-            raise ValueError(
-                f"{name} must be in {'(' if open_low else '['}{low:g}, {high:g}"
-                f"{')' if open_high else ']'}, got {value!r}"
-            )
+        # Compared, not math.isfinite: that raises OverflowError on a huge int.
+        if not -_MAX <= value <= _MAX:
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        low, high, open_low, open_high, label = item.metadata.get("range", _UNBOUNDED)
+        if (value <= low if open_low else value < low) or (value >= high if open_high else value > high):
+            raise ValueError(f"{name} must be in {label}, got {value!r}")
+
+
+class Checked:
+    """Base of a config record: its fields are checked whenever it is built."""
+
+    def __post_init__(self) -> None:
+        check_fields(self)

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 from .partner_model import PartnerModel
 from .policy import QTable
-from .schema import bounded, check_fields
+from .schema import Checked, bounded
 from .scoring import ScoringTable
 from .states import Action, CognitiveState, ObservationTriple
 
@@ -85,12 +85,9 @@ class QueryResult:
 
 
 @dataclass
-class SessionConfig:
+class SessionConfig(Checked):
     reward_decay: float = bounded(0.1, 0.0)
     reward_scale: float = bounded(1.0, 0.0, open_low=True)
-
-    def __post_init__(self) -> None:
-        check_fields(self)
 
 
 class Session:

@@ -150,6 +150,7 @@ class TestConfigErrors:
             ["serve", "--config", "fractional_targets.yaml"],
             ["serve", "--config", "quoted_bool.yaml"],
             ["serve", "--config", "big_port.yaml"],
+            ["serve", "--config", "huge_targets.yaml"],
         ],
     )
     def test_usage_error(self, argv, tmp_path, monkeypatch):
@@ -167,6 +168,7 @@ class TestConfigErrors:
             "fractional_targets.yaml": "partner_model:\n  num_targets: 2.5\n",
             "quoted_bool.yaml": 'server:\n  preconfigured: "false"\n',
             "big_port.yaml": "server:\n  port: 70000\n",
+            "huge_targets.yaml": f"partner_model:\n  num_targets: {10**400}\n",
         }
         for name, text in files.items():
             (tmp_path / name).write_text(text)

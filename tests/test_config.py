@@ -14,6 +14,7 @@ from scaffolder.config import (
 )
 from scaffolder.partner_model import PartnerModelConfig
 from scaffolder.policy import Hyperparameters
+from scaffolder.server import StrategyService
 from scaffolder.session import SessionConfig
 
 
@@ -155,6 +156,10 @@ class TestValidation:
             ("server", {"port": True}),
             ("server", {"port": 70000}),
             ("partner_model", {"capacity_max": 10**400}),
+            ("partner_model", {"num_targets": 10**400}),
+            ("partner_model", {"num_targets": 1001}),
+            ("simulation", {"runs": 10**400}),
+            ("policy", {"epsilon_min": "1e-3"}),
         ],
     )
     def test_wrong_type_or_range_rejected(self, section, values):
@@ -176,11 +181,8 @@ class TestValidation:
             cls(**kwargs)
 
     def test_yaml_exponent_needs_a_dot(self, tmp_path):
-        # PyYAML reads 1e-3 as a string; values are never converted.
+        # PyYAML reads 1e-3 as a string, which is rejected; 1.0e-3 is a float.
         path = tmp_path / "config.yaml"
-        path.write_text("policy:\n  epsilon_min: 1e-3\n")
-        with pytest.raises(ValueError, match="epsilon_min"):
-            load_config(path)
         path.write_text("policy:\n  epsilon_min: 1.0e-3\n")
         assert load_config(path).policy.epsilon_min == 0.001
 
@@ -230,8 +232,6 @@ ANY_VALUE = st.one_of(
 
 
 class TestSchemaProperty:
-    # Loads configs only: a valid but huge num_targets would allocate that
-    # many gaze weights in a session.
     @settings(max_examples=300)
     @given(target=st.sampled_from(SECTION_FIELDS), value=ANY_VALUE)
     def test_value_is_kept_exactly_or_rejected(self, target, value):
@@ -242,3 +242,20 @@ class TestSchemaProperty:
             return
         kept = getattr(getattr(config, section), name)
         assert type(kept) is type(value) and kept == value
+
+    # num_targets is capped, so an accepted config opens a session cheaply.
+    @settings(max_examples=150)
+    @given(target=st.sampled_from(SECTION_FIELDS), value=ANY_VALUE)
+    def test_accepted_value_opens_a_session(self, target, value):
+        section, name = target
+        try:
+            config = load_config(overrides={section: {name: value}})
+        except ValueError:
+            return
+        reply = StrategyService(config).dispatch('{"kind": "open_session"}').reply
+        assert reply["kind"] == "session_opened"
+
+    def test_most_targets_open_a_session(self):
+        config = load_config(overrides={"partner_model": {"num_targets": 1000}})
+        reply = StrategyService(config).dispatch('{"kind": "open_session"}').reply
+        assert reply["kind"] == "session_opened"
