@@ -13,7 +13,7 @@ from typing import Any, Sequence
 
 from . import server as server_mod
 from .config import AppConfig, ServerConfig, load_config
-from .policy import Hyperparameters, init_from_scoring
+from .policy import init_from_scoring
 from .scoring import CATEGORY_VALUES, HESITATION, NEGATION, ScoringTable
 from .simulation import (
     USER_KINDS,
@@ -149,13 +149,14 @@ def _cmd_sweep(args: argparse.Namespace, config: AppConfig, table: ScoringTable)
 
 
 def _cmd_serve(args: argparse.Namespace, config: AppConfig, table: ScoringTable) -> int:
-    host = port = None
-    if args.bind is not None:
-        host, port = args.bind
+    host, port = args.bind or (config.server.host, config.server.port)
     try:
         asyncio.run(server_mod.serve(config, host=host, port=port))
     except KeyboardInterrupt:
         pass
+    except OSError as exc:
+        print(f"scaffolder serve: cannot serve on {host}:{port}: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -178,8 +179,7 @@ def _cmd_inspect(args: argparse.Namespace, config: AppConfig, table: ScoringTabl
         print(f"  {capacity},{gaze},{task} -> {state.value} [{action.label}]")
     print(f"  distinct cognitive states: {len(states_seen)}")
     print()
-    hyper: Hyperparameters = config.policy
-    qtable = init_from_scoring(truth, hyper.q_init, hyper)
+    qtable = init_from_scoring(table, config.policy)
     print("q-table snapshot (state,action,value,visits):")
     for state in STATES:
         for action in ACTIONS:

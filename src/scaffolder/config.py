@@ -68,13 +68,22 @@ class AppConfig:
         return default_scoring_table()
 
 
+# Section name -> record class; ``scoring_csv`` is the one non-section field.
 _SECTION_TYPES: dict[str, type] = {
-    "partner_model": PartnerModelConfig,
-    "policy": Hyperparameters,
-    "session": SessionConfig,
-    "simulation": SimulationConfig,
-    "server": ServerConfig,
+    f.name: f.default_factory
+    for f in dataclasses.fields(AppConfig)
+    if f.default_factory is not dataclasses.MISSING
 }
+
+
+def _section(raw: Mapping[str, Any], name: str) -> Mapping[str, Any]:
+    """A section's mapping; only a missing or null section counts as empty."""
+    section = raw.get(name)
+    if section is None:
+        return {}
+    if not isinstance(section, Mapping):
+        raise ValueError(f"config section {name!r} must be a mapping, got {type(section).__name__}")
+    return section
 
 
 def _build_section(name: str, cls: type, raw: Mapping[str, Any]) -> Any:
@@ -86,13 +95,9 @@ def _build_section(name: str, cls: type, raw: Mapping[str, Any]) -> Any:
 
 
 def _merge_sections(base: Mapping[str, Any], extra: Mapping[str, Any]) -> dict[str, Any]:
-    merged: dict[str, Any] = {k: dict(v) for k, v in base.items() if isinstance(v, Mapping)}
-    merged.update({k: v for k, v in base.items() if not isinstance(v, Mapping)})
+    merged = dict(base)
     for key, value in extra.items():
-        if isinstance(value, Mapping) and isinstance(merged.get(key), dict):
-            merged[key].update(value)
-        else:
-            merged[key] = dict(value) if isinstance(value, Mapping) else value
+        merged[key] = {**_section(base, key), **value} if isinstance(value, Mapping) else value
     return merged
 
 
@@ -107,30 +112,26 @@ def load_config(
     if path is None:
         env_path = os.environ.get(CONFIG_ENV_VAR)
         path = env_path or None
-    raw: dict[str, Any] = {}
+    raw: Mapping[str, Any] = {}
     if path is not None:
         text = Path(path).read_text(encoding="utf-8")
         try:
-            loaded = yaml.safe_load(text) or {}
+            loaded = yaml.safe_load(text)
         except yaml.YAMLError as exc:
             raise ValueError(f"config file {path} is not valid YAML: {exc}") from exc
-        if not isinstance(loaded, Mapping):
+        if loaded is not None and not isinstance(loaded, Mapping):
             raise ValueError(f"config file {path} must hold a mapping, got {type(loaded).__name__}")
-        raw = dict(loaded)
+        raw = loaded or {}
     if overrides:
         raw = _merge_sections(raw, overrides)
 
-    known_top = set(_SECTION_TYPES) | {"scoring_csv"}
-    unknown = set(raw) - known_top
+    unknown = set(raw) - {f.name for f in dataclasses.fields(AppConfig)}
     if unknown:
         raise ValueError(f"unknown config sections: {sorted(unknown)}")
 
-    kwargs: dict[str, Any] = {}
-    for name, cls in _SECTION_TYPES.items():
-        section = raw.get(name) or {}
-        if not isinstance(section, Mapping):
-            raise ValueError(f"config section {name!r} must be a mapping")
-        kwargs[name] = _build_section(name, cls, section)
+    kwargs = {
+        name: _build_section(name, cls, _section(raw, name)) for name, cls in _SECTION_TYPES.items()
+    }
     scoring_csv = raw.get("scoring_csv")
     if scoring_csv is not None and not isinstance(scoring_csv, str):
         raise ValueError("scoring_csv must be a string path")

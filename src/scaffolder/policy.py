@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .schema import Checked, bounded
+from .scoring import ScoringTable
 from .states import (
     ACTIONS,
     ACTION_INDEX,
     Action,
     CognitiveState,
     GROUND_TRUTH_ACTION,
-    ObservationTriple,
     STATES,
     STATE_INDEX,
 )
@@ -135,24 +135,19 @@ class QTable:
 
 
 def init_from_scoring(
-    truth: dict[ObservationTriple, tuple[CognitiveState, Action]],
-    q_init: float,
-    hyper: Hyperparameters | None = None,
+    table: ScoringTable, hyper: Hyperparameters | None = None, *, preconfigured: bool = True
 ) -> QTable:
-    """Pre-initialise a Q-table from a rubric's ground-truth map.
+    """A Q-table seeded from a rubric, or blank when not ``preconfigured``.
 
-    Every state in the map's image, plus the one state no default triple
-    reaches, gets ``q_init`` on its ground-truth action.  ``q_init=0`` yields
-    a blank (unconfigured) table.
+    Every state in the table's image, plus the one state no default triple
+    reaches, gets ``hyper.q_init`` on its ground-truth action.
     """
-    from .states import all_observation_triples
-
-    if set(truth) != set(all_observation_triples()):
-        raise ValueError("ground-truth map must cover all 30 observation triples")
-    table = QTable(hyper)
-    states = {state for state, _ in truth.values()}
+    qtable = QTable(hyper)
+    if not preconfigured:
+        return qtable
+    states = {state for state, _ in table.truth.values()}
     states.add(CognitiveState.UNCERTAIN)
     for state in states:
         action = GROUND_TRUTH_ACTION[state]
-        table.values[STATE_INDEX[state]][ACTION_INDEX[action]] = q_init
-    return table
+        qtable.values[STATE_INDEX[state]][ACTION_INDEX[action]] = qtable.hyper.q_init
+    return qtable

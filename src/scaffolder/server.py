@@ -97,14 +97,8 @@ class StrategyService:
             return self._error("missing session")
         if not isinstance(session_id, str) or session_id not in self.sessions:
             return self._error(f"unknown session: {session_id!r}")
-        handler = {
-            "gaze_event": self._gaze_event,
-            "query_strategy": self._query_strategy,
-            "task_performance": self._task_performance,
-            "close_session": self._close_session,
-        }[kind]
         try:
-            return handler(session_id, message)
+            return getattr(self, f"_{kind}")(session_id, message)
         except SessionStateError as exc:
             return self._error(str(exc), session_id)
         except (TypeError, ValueError, KeyError, OverflowError) as exc:
@@ -115,11 +109,11 @@ class StrategyService:
     def _open_session(self) -> DispatchResult:
         self._counter += 1
         session_id = f"s-{self._counter:06d}"
-        hyper = self.config.policy
-        q_init = hyper.q_init if self.config.server.preconfigured else 0.0
         session = Session(
             self.table,
-            init_from_scoring(self.table.truth, q_init, hyper),
+            init_from_scoring(
+                self.table, self.config.policy, preconfigured=self.config.server.preconfigured
+            ),
             partner=PartnerModel(self.config.partner_model),
             config=self.config.session,
             rng=random.Random(self._counter),

@@ -26,9 +26,10 @@ from pathlib import Path
 from statistics import fmean, pstdev
 from typing import Mapping, Sequence
 
+from .partner_model import PartnerModel
 from .policy import Hyperparameters, QTable, init_from_scoring
 from .scoring import NEGATION, ScoringTable, default_scoring_table
-from .session import TaskPerformance, timed_performance_score
+from .session import Session, TaskPerformance, timed_performance_score
 from .states import (
     ACTIONS,
     Action,
@@ -192,8 +193,7 @@ class RunSpec:
 def _setup(spec: RunSpec) -> tuple[ScoringTable, QTable, random.Random]:
     """What a run needs before its first episode: rubric, policy, stream."""
     table = spec.table or default_scoring_table()
-    q_init = spec.hyper.q_init if spec.preconfigured else 0.0
-    qtable = init_from_scoring(table.truth, q_init, spec.hyper)
+    qtable = init_from_scoring(table, spec.hyper, preconfigured=spec.preconfigured)
     return table, qtable, random.Random(spec.seed)
 
 
@@ -272,9 +272,6 @@ class EpisodeScript:
 def run_dynamic(spec: RunSpec, script: Sequence[EpisodeScript]) -> RunResult:
     """Scripted-mode run: drives the full partner-model pipeline per episode
     instead of sampling observation triples uniformly."""
-    from .partner_model import PartnerModel
-    from .session import Session
-
     table, qtable, rng = _setup(spec)
     user = make_user(spec.user_kind, table)
     session = Session(table, qtable, partner=PartnerModel(), rng=rng)

@@ -165,8 +165,7 @@ def oracle_run_simulation(spec: RunSpec) -> RunResult:
     observation index, then the value update on the next observation's state.
     """
     table = spec.table or default_scoring_table()
-    q_init = spec.hyper.q_init if spec.preconfigured else 0.0
-    qtable = init_from_scoring(table.truth, q_init, spec.hyper)
+    qtable = init_from_scoring(table, spec.hyper, preconfigured=spec.preconfigured)
     user = make_user(spec.user_kind, table)
     rng = random.Random(spec.seed)
     cells = list(table.truth.items())

@@ -1,4 +1,5 @@
 import csv
+import socket
 
 import pytest
 
@@ -151,6 +152,9 @@ class TestConfigErrors:
             ["serve", "--config", "quoted_bool.yaml"],
             ["serve", "--config", "big_port.yaml"],
             ["serve", "--config", "huge_targets.yaml"],
+            ["simulate", "--config", "list_document.yaml"],
+            ["serve", "--config", "scalar_section.yaml"],
+            ["simulate", "--runs", "2", "--config", "scalar_simulation.yaml"],
         ],
     )
     def test_usage_error(self, argv, tmp_path, monkeypatch):
@@ -169,6 +173,9 @@ class TestConfigErrors:
             "quoted_bool.yaml": 'server:\n  preconfigured: "false"\n',
             "big_port.yaml": "server:\n  port: 70000\n",
             "huge_targets.yaml": f"partner_model:\n  num_targets: {10**400}\n",
+            "list_document.yaml": "[]\n",
+            "scalar_section.yaml": "server: 0\n",
+            "scalar_simulation.yaml": "simulation: 5\n",
         }
         for name, text in files.items():
             (tmp_path / name).write_text(text)
@@ -182,6 +189,18 @@ class TestConfigErrors:
             main(argv)
         assert err.value.code == 2
         assert not started
+
+
+class TestServe:
+    def test_bind_failure_is_one_line(self, capsys):
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            assert main(["serve", "--bind", f"127.0.0.1:{port}"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"127.0.0.1:{port}" in err
 
 
 class TestSweep:

@@ -88,6 +88,37 @@ class TestValidation:
         with pytest.raises(ValueError):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]\n",
+            "0\n",
+            "false\n",
+            "''\n",
+            "policy: []\n",
+            "server: 0\n",
+            "simulation: false\n",
+            "session: ''\n",
+        ],
+    )
+    def test_non_mapping_document_or_section_rejected(self, tmp_path, text):
+        path = tmp_path / "config.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="mapping"):
+            load_config(path)
+
+    def test_non_mapping_section_rejected_under_override(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text("simulation: 5\n")
+        with pytest.raises(ValueError, match="simulation"):
+            load_config(path, {"simulation": {"runs": 2}})
+
+    @pytest.mark.parametrize("text", ["", "# nothing here\n", "policy:\n", "server: null\n"])
+    def test_empty_document_or_null_section_is_default(self, tmp_path, text):
+        path = tmp_path / "config.yaml"
+        path.write_text(text)
+        assert load_config(path) == AppConfig()
+
     def test_invalid_policy_value_rejected(self, tmp_path):
         path = tmp_path / "config.yaml"
         path.write_text("policy:\n  alpha: 2.0\n")

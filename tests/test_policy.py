@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import oracle_epsilon_greedy, oracle_epsilon_schedule, oracle_q_update
 from scaffolder.policy import Hyperparameters, QTable, init_from_scoring
+from scaffolder.scoring import ScoringTable
 from scaffolder.states import (
     ACTIONS,
     GROUND_TRUTH_ACTION,
@@ -55,8 +56,8 @@ class TestHyperparameters:
 
 
 class TestInit:
-    def test_exactly_six_nonzero_cells(self, truth):
-        qtable = init_from_scoring(truth, q_init=0.5)
+    def test_exactly_six_nonzero_cells(self, default_table):
+        qtable = init_from_scoring(default_table)
         nonzero = [
             (state, action)
             for state in STATES
@@ -67,34 +68,52 @@ class TestInit:
         states_with_nonzero = {state for state, _ in nonzero}
         assert states_with_nonzero == set(STATES)
 
-    def test_engaged_observer_row(self, truth):
-        qtable = init_from_scoring(truth, q_init=0.5)
+    def test_engaged_observer_row(self, default_table):
+        qtable = init_from_scoring(default_table)
         for action in ACTIONS:
             expected = 0.5 if action == AFFIRM else 0.0
             assert qtable.value(EO, action) == expected
 
-    def test_nonzero_cells_sit_on_ground_truth_actions(self, truth):
-        qtable = init_from_scoring(truth, q_init=0.5)
+    def test_nonzero_cells_sit_on_ground_truth_actions(self, default_table):
+        qtable = init_from_scoring(default_table)
         for state in STATES:
             assert qtable.value(state, GROUND_TRUTH_ACTION[state]) == 0.5
 
-    def test_zero_q_init_is_blank_table(self, truth):
-        qtable = init_from_scoring(truth, q_init=0.0)
+    def test_zero_q_init_is_blank_table(self, default_table):
+        qtable = init_from_scoring(default_table, Hyperparameters(q_init=0.0))
         assert all(v == 0.0 for row in qtable.values for v in row)
 
-    def test_visits_start_at_zero(self, truth):
-        qtable = init_from_scoring(truth, q_init=0.5)
+    def test_visits_start_at_zero(self, default_table):
+        qtable = init_from_scoring(default_table)
         assert all(v == 0 for row in qtable.visits for v in row)
 
-    def test_incomplete_map_rejected(self, truth):
-        partial = dict(list(truth.items())[:29])
-        with pytest.raises(ValueError):
-            init_from_scoring(partial, q_init=0.5)
+    def test_not_preconfigured_is_blank_table(self, default_table):
+        hyper = Hyperparameters(q_init=0.75)
+        qtable = init_from_scoring(default_table, hyper, preconfigured=False)
+        blank = QTable(hyper)
+        assert qtable.values == blank.values
+        assert qtable.visits == blank.visits
+        assert qtable.hyper is hyper
+
+    def test_prior_follows_the_table_image(self, default_table):
+        # Every triple of an all-zero table reduces to EngagedObserver, so only
+        # its cell and Uncertain's (which no triple reaches) get the prior.
+        table = ScoringTable(entries={key: 0.0 for key in default_table.entries})
+        qtable = init_from_scoring(table, Hyperparameters(q_init=0.75))
+        seeded = {
+            (state, action)
+            for state in STATES
+            for action in ACTIONS
+            if qtable.value(state, action) != 0.0
+        }
+        uncertain = CognitiveState.UNCERTAIN
+        assert seeded == {(EO, AFFIRM), (uncertain, GROUND_TRUTH_ACTION[uncertain])}
+        assert all(qtable.value(state, action) == 0.75 for state, action in seeded)
 
 
 class TestSelect:
-    def test_pure_exploitation_unique_argmax(self, truth):
-        qtable = init_from_scoring(truth, q_init=0.5, hyper=Hyperparameters(epsilon=0.0))
+    def test_pure_exploitation_unique_argmax(self, default_table):
+        qtable = init_from_scoring(default_table, Hyperparameters(epsilon=0.0))
         rng = random.Random(0)
         for _ in range(50):
             assert qtable.select_action(EO, rng) == AFFIRM
@@ -258,7 +277,7 @@ class TestUpdate:
 
 
 class TestConvergence:
-    def test_greedy_action_converges_under_stationary_reward(self, truth):
+    def test_greedy_action_converges_under_stationary_reward(self, default_table):
         # +1 for one target action, -1 otherwise; exploration must die out
         # and the greedy choice settle on the rewarded action.
         target = ACTIONS[3]
@@ -267,7 +286,7 @@ class TestConvergence:
         for seed in range(runs):
             rng = random.Random(seed)
             hyper = Hyperparameters(epsilon=0.75, epsilon_min=0.0)
-            qtable = init_from_scoring(truth, q_init=0.5, hyper=hyper)
+            qtable = init_from_scoring(default_table, hyper)
             for _ in range(200):
                 action = qtable.select_action(EO, rng)
                 reward = 1.0 if action == target else -1.0
@@ -279,8 +298,8 @@ class TestConvergence:
 
 
 class TestSnapshot:
-    def test_round_trip(self, truth, tmp_path):
-        qtable = init_from_scoring(truth, q_init=0.5)
+    def test_round_trip(self, default_table, tmp_path):
+        qtable = init_from_scoring(default_table)
         rng = random.Random(0)
         for _ in range(20):
             action = qtable.select_action(EO, rng)

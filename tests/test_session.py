@@ -29,9 +29,9 @@ from scaffolder.states import (
 AFFIRM = Action(NegationType.AFFIRMATION, HesitationType.NONE)
 
 
-def make_session(default_table, truth, epsilon=0.0, seed=0):
+def make_session(default_table, epsilon=0.0, seed=0):
     hyper = Hyperparameters(epsilon=epsilon)
-    qtable = init_from_scoring(truth, q_init=0.5, hyper=hyper)
+    qtable = init_from_scoring(default_table, hyper)
     return Session(default_table, qtable, rng=random.Random(seed))
 
 
@@ -106,23 +106,23 @@ class TestReward:
 
 
 class TestSessionPipeline:
-    def test_fresh_session_unseen_task(self, default_table, truth):
-        session = make_session(default_table, truth)
+    def test_fresh_session_unseen_task(self, default_table):
+        session = make_session(default_table)
         result = session.query("assemble")
         assert result.triple.as_labels() == ("high", "focused", "unknown")
         assert result.state is CognitiveState.ENGAGED_OBSERVER
         assert result.action == AFFIRM
 
-    def test_reward_feeds_q_update(self, default_table, truth):
-        session = make_session(default_table, truth)
+    def test_reward_feeds_q_update(self, default_table):
+        session = make_session(default_table)
         result = session.query("assemble")
         assert session.qtable.value(result.state, result.action) == 0.5
         session.complete(perf())
         # 0.5 + 0.25 * (1.0 - 0.5) with the next state's bootstrap scaled by gamma=0
         assert session.qtable.value(result.state, result.action) == pytest.approx(0.625)
 
-    def test_capacity_recovers_on_repeated_action(self, default_table, truth):
-        session = make_session(default_table, truth)
+    def test_capacity_recovers_on_repeated_action(self, default_table):
+        session = make_session(default_table)
         session.query("assemble")
         session.complete(perf(False, 1.0, False, 1.0))
         first = session.partner.capacity.value
@@ -132,26 +132,26 @@ class TestSessionPipeline:
         assert first == 90.0
         assert second == 95.0
 
-    def test_next_state_reflects_recorded_outcome(self, default_table, truth):
-        session = make_session(default_table, truth)
+    def test_next_state_reflects_recorded_outcome(self, default_table):
+        session = make_session(default_table)
         session.query("assemble")
         session.complete(perf())
         triple = session.partner.classify("assemble")
         assert triple.task.value == "success"
 
-    def test_query_while_pending_rejected(self, default_table, truth):
-        session = make_session(default_table, truth)
+    def test_query_while_pending_rejected(self, default_table):
+        session = make_session(default_table)
         session.query("assemble")
         with pytest.raises(SessionStateError):
             session.query("assemble")
 
-    def test_complete_without_query_rejected(self, default_table, truth):
-        session = make_session(default_table, truth)
+    def test_complete_without_query_rejected(self, default_table):
+        session = make_session(default_table)
         with pytest.raises(SessionStateError):
             session.complete(perf())
 
-    def test_abort_records_episode_without_update(self, default_table, truth):
-        session = make_session(default_table, truth)
+    def test_abort_records_episode_without_update(self, default_table):
+        session = make_session(default_table)
         result = session.query("assemble")
         record = session.abort_pending()
         assert record.reward == 0.0
@@ -160,8 +160,8 @@ class TestSessionPipeline:
         assert session.qtable.visit_count(result.state, result.action) == 0
         assert session.abort_pending() is None
 
-    def test_cumulative_reward_is_prefix_sum(self, default_table, truth):
-        session = make_session(default_table, truth)
+    def test_cumulative_reward_is_prefix_sum(self, default_table):
+        session = make_session(default_table)
         rng = random.Random(4)
         for index in range(10):
             session.query(f"task-{index % 3}")
@@ -174,8 +174,8 @@ class TestSessionPipeline:
             assert record.cumulative_reward == pytest.approx(total)
             assert -1.0 <= record.reward <= 1.0
 
-    def test_step_runs_whole_episode(self, default_table, truth):
-        session = make_session(default_table, truth)
+    def test_step_runs_whole_episode(self, default_table):
+        session = make_session(default_table)
 
         def environment(triple, action):
             return perf(True, 1.0, True, 2.0)
@@ -187,14 +187,14 @@ class TestSessionPipeline:
         )
         assert session.partner.gaze.last_focus == 1
 
-    def test_unknown_gaze_target_rejected(self, default_table, truth):
-        session = make_session(default_table, truth)
+    def test_unknown_gaze_target_rejected(self, default_table):
+        session = make_session(default_table)
         with pytest.raises(ValueError):
             session.ingest_gaze(5)
 
-    def test_determinism_bit_for_bit(self, default_table, truth):
+    def test_determinism_bit_for_bit(self, default_table):
         def play(seed):
-            session = make_session(default_table, truth, epsilon=0.75, seed=seed)
+            session = make_session(default_table, epsilon=0.75, seed=seed)
             rng = random.Random(seed + 1000)
 
             def environment(triple, action):
@@ -214,9 +214,9 @@ class TestSessionPipeline:
 
     @settings(max_examples=30)
     @given(scale=st.floats(min_value=0.5, max_value=2.0), seed=st.integers(0, 1000))
-    def test_reward_bounds_invariant(self, default_table, truth, scale, seed):
+    def test_reward_bounds_invariant(self, default_table, scale, seed):
         hyper = Hyperparameters(epsilon=0.5)
-        qtable = init_from_scoring(truth, q_init=0.5, hyper=hyper)
+        qtable = init_from_scoring(default_table, hyper)
         session = Session(
             default_table,
             qtable,
@@ -234,8 +234,8 @@ class TestSessionPipeline:
 
 
 class TestEpisodeCsv:
-    def test_schema_and_content(self, default_table, truth, tmp_path):
-        session = make_session(default_table, truth)
+    def test_schema_and_content(self, default_table, tmp_path):
+        session = make_session(default_table)
         session.query("assemble")
         session.complete(perf(True, 2.0, True, 4.0))
         path = tmp_path / "episodes.csv"
