@@ -26,7 +26,15 @@ from .states import (
     STATE_INDEX,
 )
 
-_ALL_ACTIONS = tuple(range(len(ACTIONS)))
+
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform index in ``range(n)``, ``n >= 1``, drawing exactly the words
+    ``rng.randrange(n)`` draws (CPython's ``_randbelow_with_getrandbits``)."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 @dataclass(frozen=True)
@@ -67,18 +75,22 @@ class QTable:
         """
         epsilon = self.epsilon
         if rng.random() < epsilon:
-            candidates = [i for i, count in enumerate(self.visits[s]) if count == 0]
-            if not candidates:
-                candidates = _ALL_ACTIONS
-            choice = candidates[rng.randrange(len(candidates))]
+            visits = self.visits[s]
+            if 0 in visits:
+                untried = [i for i, count in enumerate(visits) if count == 0]
+                choice = untried[_below(rng, len(untried))]
+            else:
+                choice = _below(rng, len(visits))
         else:
+            # Values are finite (``load`` and ``update`` reject anything
+            # else), so count and index agree with ``==`` here.
             row = self.values[s]
             best = max(row)
-            candidates = [i for i, v in enumerate(row) if v == best]
-            if len(candidates) == 1:
-                choice = candidates[0]
+            if row.count(best) == 1:
+                choice = row.index(best)
             else:
-                choice = candidates[rng.randrange(len(candidates))]
+                tied = [i for i, v in enumerate(row) if v == best]
+                choice = tied[_below(rng, len(tied))]
         # Decay with a floor, but never raise epsilon: a start below the
         # floor (e.g. epsilon=0 for pure exploitation) stays where it is.
         decayed = epsilon * self.hyper.epsilon_decay
@@ -129,8 +141,14 @@ class QTable:
             for row in csv.DictReader(handle):
                 si = STATE_INDEX[CognitiveState(row["state"])]
                 ai = ACTION_INDEX[Action.from_label(row["action"])]
-                table.values[si][ai] = float(row["value"])
-                table.visits[si][ai] = int(row["visits"])
+                value, visits = float(row["value"]), int(row["visits"])
+                if not math.isfinite(value) or visits < 0:
+                    raise ValueError(
+                        f"cell ({row['state']}, {row['action']}) needs a finite value and"
+                        f" non-negative visits, got {value} and {visits}"
+                    )
+                table.values[si][ai] = value
+                table.visits[si][ai] = visits
         return table
 
 

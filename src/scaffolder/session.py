@@ -44,7 +44,12 @@ class TaskPerformance:
                 raise ValueError(f"{label} must be finite and non-negative, got {elapsed}")
 
 
-def timed_performance_score(success: bool, elapsed: float, decay: float = 0.1) -> float:
+# Per-second decay of an outcome's score: the default of the reward functions
+# below and of ``SessionConfig``, and the rate the simulation kernel inlines.
+REWARD_DECAY = 0.1
+
+
+def timed_performance_score(success: bool, elapsed: float, decay: float = REWARD_DECAY) -> float:
     """Signed, exponentially time-discounted score of one outcome dimension."""
     if not math.isfinite(elapsed) or elapsed < 0:
         raise ValueError(f"elapsed time must be finite and non-negative, got {elapsed}")
@@ -53,7 +58,7 @@ def timed_performance_score(success: bool, elapsed: float, decay: float = 0.1) -
 
 
 def episode_reward(
-    performance: TaskPerformance, decay: float = 0.1, scale: float = 1.0
+    performance: TaskPerformance, decay: float = REWARD_DECAY, scale: float = 1.0
 ) -> float:
     """Mean of the two dimension scores, scaled.  Always within [-scale, scale]."""
     comprehension = timed_performance_score(
@@ -86,7 +91,7 @@ class QueryResult:
 
 @dataclass
 class SessionConfig(Checked):
-    reward_decay: float = bounded(0.1, 0.0)
+    reward_decay: float = bounded(REWARD_DECAY, 0.0)
     reward_scale: float = bounded(1.0, 0.0, open_low=True)
 
 

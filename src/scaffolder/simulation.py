@@ -16,9 +16,11 @@ triple is fully reproducible, serial or parallel.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import itertools
+import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -27,9 +29,9 @@ from statistics import fmean, pstdev
 from typing import Mapping, Sequence
 
 from .partner_model import PartnerModel
-from .policy import Hyperparameters, QTable, init_from_scoring
+from .policy import Hyperparameters, QTable, _below, init_from_scoring
 from .scoring import NEGATION, ScoringTable, default_scoring_table
-from .session import Session, TaskPerformance, timed_performance_score
+from .session import REWARD_DECAY, Session, TaskPerformance
 from .states import (
     ACTIONS,
     Action,
@@ -232,29 +234,37 @@ def run_simulation(spec: RunSpec) -> RunResult:
     Per episode the stream is: action selection, deviation draw, two solve
     times, next observation index.  The value update bootstraps on the next
     episode's observation, chaining the walk together.  The loop runs on
-    state and action indices; its outcomes are ``simulate_outcome``'s and its
-    rewards ``episode_reward``'s, and ``tests/oracles.py`` holds the
-    object-level loop it must reproduce draw for draw.
+    state and action indices with the stdlib draws inlined: ``uniform`` as
+    ``low + span * random()``, ``randrange`` as ``_below``, and each score as
+    ``timed_performance_score``'s ``sign * exp(-REWARD_DECAY * t)``.  It still
+    reproduces, draw for draw, the object-level loop in ``tests/oracles.py``.
+    The solve-time bounds are checked once, before the first episode (so even
+    at horizon 0); finite non-negative bounds only ever draw finite
+    non-negative times.
     """
+    low, high = spec.time_low, spec.time_high
+    if not (math.isfinite(low) and math.isfinite(high) and low >= 0 and high >= 0):
+        raise ValueError(f"solve times must be finite and non-negative, got {low} and {high}")
     table, qtable, rng = _setup(spec)
     # The seeded index stream picks from all_observation_triples() order,
     # which is the order table.truth is built in.
     states, wins = _outcome_matrix(spec.user_kind, table)
     select, update = qtable.select_index, qtable.update_index
-    draw, uniform, randrange = rng.random, rng.uniform, rng.randrange
-    deviation_rate, low, high = spec.deviation_rate, spec.time_low, spec.time_high
+    draw, exp = rng.random, math.exp
+    deviation_rate, span, rate = spec.deviation_rate, high - low, -REWARD_DECAY
+    cells = len(states)
 
     series: list[float] = []
     cumulative = 0.0
-    index = randrange(len(states))
+    index = _below(rng, cells)
     for _ in range(spec.horizon):
         state = states[index]
         action = select(state, rng)
-        well = wins[index][action] is not (draw() < deviation_rate)
-        comprehension = timed_performance_score(well, uniform(low, high))
-        enabledness = timed_performance_score(well, uniform(low, high))
+        sign = 1.0 if wins[index][action] is not (draw() < deviation_rate) else -1.0
+        comprehension = sign * exp(rate * (low + span * draw()))
+        enabledness = sign * exp(rate * (low + span * draw()))
         reward = (comprehension + enabledness) / 2.0
-        index = randrange(len(states))
+        index = _below(rng, cells)
         update(state, action, reward, states[index])
         cumulative += reward
         series.append(cumulative)
@@ -346,13 +356,25 @@ def run_campaign(
     pool receives the template, table included, once per chunk of runs.
     """
     template = RunSpec(user_kind, preconfigured, base_seed, **spec)
+    with _pool(workers) as pool:
+        return _campaign(template, runs, workers, pool)
+
+
+def _pool(workers: int) -> ProcessPoolExecutor | contextlib.nullcontext[None]:
+    """A process pool for ``workers > 1``; otherwise a context that yields None."""
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+
+
+def _campaign(
+    template: RunSpec, runs: int, workers: int, pool: ProcessPoolExecutor | None
+) -> CampaignResult:
+    """``runs`` runs of ``template`` from its seed on, in ``pool`` if there is one."""
     run = functools.partial(_run_seed, template)
-    seeds = range(base_seed, base_seed + runs)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = tuple(pool.map(run, seeds, chunksize=max(1, runs // (workers * 4))))
-    else:
+    seeds = range(template.seed, template.seed + runs)
+    if pool is None:
         results = tuple(map(run, seeds))
+    else:
+        results = tuple(pool.map(run, seeds, chunksize=max(1, runs // (workers * 4))))
     return CampaignResult(horizon=template.horizon, results=results)
 
 
@@ -374,31 +396,42 @@ class SweepRow:
 
 
 def run_sweep(
-    user_kind: str = "A", hyper: Hyperparameters | None = None, **campaign
+    user_kind: str = "A",
+    hyper: Hyperparameters | None = None,
+    *,
+    runs: int = 500,
+    base_seed: int = 0,
+    workers: int = 1,
+    **spec,
 ) -> list[SweepRow]:
     """The 12-row hyperparameter study: both initialisations crossed with
     two learning rates and three discount factors, epsilon fixed.
 
     ``hyper`` supplies every policy value but the three swept ones; the other
-    keywords go to ``run_campaign`` unchanged.
+    keywords mean what they mean to ``run_campaign``.  Every row is that
+    campaign, and with ``workers > 1`` all twelve share one pool.
     """
     base = hyper or Hyperparameters()
     rows: list[SweepRow] = []
-    for alpha, gamma, preconfigured in itertools.product(SWEEP_ALPHAS, SWEEP_GAMMAS, (False, True)):
-        row_hyper = replace(base, alpha=alpha, gamma=gamma, epsilon=SWEEP_EPSILON)
-        stats = run_campaign(user_kind, preconfigured, hyper=row_hyper, **campaign).summary()
-        rows.append(
-            SweepRow(
-                preconfigured=preconfigured,
-                alpha=alpha,
-                gamma=gamma,
-                epsilon=SWEEP_EPSILON,
-                z_mean=stats.z_mean,
-                z_sd=stats.z_sd,
-                reward_mean=stats.reward_mean,
-                reward_sd=stats.reward_sd,
+    with _pool(workers) as pool:
+        for alpha, gamma, preconfigured in itertools.product(
+            SWEEP_ALPHAS, SWEEP_GAMMAS, (False, True)
+        ):
+            row_hyper = replace(base, alpha=alpha, gamma=gamma, epsilon=SWEEP_EPSILON)
+            template = RunSpec(user_kind, preconfigured, base_seed, hyper=row_hyper, **spec)
+            stats = _campaign(template, runs, workers, pool).summary()
+            rows.append(
+                SweepRow(
+                    preconfigured=preconfigured,
+                    alpha=alpha,
+                    gamma=gamma,
+                    epsilon=SWEEP_EPSILON,
+                    z_mean=stats.z_mean,
+                    z_sd=stats.z_sd,
+                    reward_mean=stats.reward_mean,
+                    reward_sd=stats.reward_sd,
+                )
             )
-        )
     return rows
 
 

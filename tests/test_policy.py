@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 from collections import Counter
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_epsilon_greedy, oracle_epsilon_schedule, oracle_q_update
-from scaffolder.policy import Hyperparameters, QTable, init_from_scoring
+from scaffolder.policy import Hyperparameters, QTable, _below, init_from_scoring
 from scaffolder.scoring import ScoringTable
 from scaffolder.states import (
     ACTIONS,
@@ -174,6 +175,33 @@ class TestSelect:
             assert qtable.select_index(2, rng) == expected
             assert rng.getstate() == reference.getstate()
 
+    @given(
+        values=st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.25]), min_size=6, max_size=6),
+        visits=st.lists(st.integers(min_value=0, max_value=3), min_size=6, max_size=6),
+        epsilon=st.sampled_from([0.0, 0.3, 0.75, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**64),
+    )
+    @settings(max_examples=300)
+    def test_signed_zero_ties_and_tried_rows_match_oracle(self, values, visits, epsilon, seed):
+        # -0.0 == 0.0 is a tie, and a row with no untried action explores
+        # over all six; both must draw as the oracle does.
+        qtable = QTable(Hyperparameters(epsilon=epsilon))
+        qtable.values[4] = list(values)
+        qtable.visits[4] = list(visits)
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            expected = oracle_epsilon_greedy(values, visits, qtable.epsilon, reference)
+            assert qtable.select_index(4, rng) == expected
+            assert rng.getstate() == reference.getstate()
+
+    @given(n=st.integers(min_value=1, max_value=64), seed=st.integers(min_value=0, max_value=2**64))
+    @settings(max_examples=300)
+    def test_below_draws_as_randrange(self, n, seed):
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert _below(rng, n) == reference.randrange(n)
+            assert rng.getstate() == reference.getstate()
+
     def test_epsilon_decays_after_every_selection(self):
         qtable = QTable(Hyperparameters())
         rng = random.Random(1)
@@ -309,3 +337,23 @@ class TestSnapshot:
         loaded = QTable.load(path, qtable.hyper)
         assert loaded.values == qtable.values
         assert loaded.visits == qtable.visits
+
+    @pytest.mark.parametrize(
+        "column, bad", [("value", "nan"), ("value", "inf"), ("value", "-inf"), ("visits", "-1")]
+    )
+    def test_non_finite_value_or_negative_visits_rejected(self, tmp_path, column, bad):
+        # A NaN cell would be picked as the argmax (list.count and list.index
+        # match it by identity), and an inf cell turns NaN after one update.
+        path = tmp_path / "snapshot.csv"
+        QTable().save(path)
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        rows[7][column] = bad
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        with pytest.raises(ValueError) as info:
+            QTable.load(path)
+        assert rows[7]["state"] in str(info.value)
+        assert rows[7]["action"] in str(info.value)

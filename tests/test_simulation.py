@@ -1,13 +1,15 @@
 import csv
 import itertools
+import math
 import random
 from dataclasses import fields, replace
 
 import pytest
 
 from oracles import oracle_run_simulation
+from scaffolder import simulation
 from scaffolder.policy import Hyperparameters
-from scaffolder.scoring import HESITATION, NEGATION, scaffolding_score
+from scaffolder.scoring import HESITATION, NEGATION, default_scoring_table, scaffolding_score
 from scaffolder.simulation import (
     USER_KINDS,
     EpisodeScript,
@@ -266,6 +268,13 @@ class TestKernel:
             RunSpec("A", True, 3, horizon=0),
             RunSpec("B", False, 4, horizon=1),
             RunSpec("C", True, 5, time_low=0.0, time_high=0.0),
+            RunSpec("D", True, 7919),
+            RunSpec("A", False, 2**31 + 5),
+            RunSpec("B", True, 2**40 + 3),
+            RunSpec("C", False, 6, deviation_rate=0.5),
+            RunSpec("B", True, 8, horizon=1000),
+            RunSpec("D", False, 9, time_low=10.0, time_high=1.0),
+            RunSpec("C", True, 10, table=edited_table(default_scoring_table())),
         ],
     )
     def test_edge_specs_match_object_oracle(self, spec):
@@ -274,6 +283,13 @@ class TestKernel:
     def test_negative_solve_times_rejected(self):
         with pytest.raises(ValueError):
             run_simulation(RunSpec("A", True, 0, time_low=-5.0, time_high=-1.0))
+
+    @pytest.mark.parametrize(
+        "low, high", [(-1.0, 5.0), (math.nan, 10.0), (1.0, math.inf), (-5.0, -1.0)]
+    )
+    def test_bad_solve_times_rejected_before_the_first_episode(self, low, high):
+        with pytest.raises(ValueError, match="solve times"):
+            run_simulation(RunSpec("A", True, 0, horizon=0, time_low=low, time_high=high))
 
     @pytest.mark.parametrize("kind", USER_KINDS)
     def test_outcome_matrix_is_performs_well(self, kind, default_table):
@@ -397,6 +413,20 @@ class TestCsvOutputs:
 
 
 class TestSweep:
+    def test_parallel_sweep_equals_serial_in_one_pool(self, monkeypatch):
+        pools = []
+
+        class CountingPool(simulation.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        campaign = dict(runs=5, horizon=15, base_seed=3)
+        serial = run_sweep("B", **campaign)
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", CountingPool)
+        assert run_sweep("B", workers=2, **campaign) == serial
+        assert len(pools) == 1
+
     def test_row_is_campaign_with_swept_values(self):
         base = Hyperparameters(q_init=2.0, epsilon_decay=0.5, epsilon_min=0.1)
         campaign = dict(
