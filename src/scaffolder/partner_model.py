@@ -101,6 +101,27 @@ def update_capacity(state: CapacityState, action: Action, config: PartnerModelCo
     return CapacityState(value=value, last_action=action)
 
 
+def _shifted_weights(weights: tuple[float, ...], fixated: int, config: PartnerModelConfig) -> tuple[float, ...]:
+    n = len(weights)
+    if not 0 <= fixated < n:
+        raise ValueError(f"fixated target {fixated} out of range 0..{n - 1}")
+    focused_weight = weights[fixated]
+    gain = min(focused_weight + config.gaze_gain, config.capacity_max) - focused_weight
+    loss = gain / (n - 1) if n > 1 else 0.0
+    return tuple(
+        focused_weight + gain if i == fixated else max(w - loss, config.weight_min)
+        for i, w in enumerate(weights)
+    )
+
+
+def _next_focus_shift(state: GazeState, fixated: int, config: PartnerModelConfig) -> float:
+    if not 0 <= fixated < len(state.weights):
+        raise ValueError(f"fixated target {fixated} out of range 0..{len(state.weights) - 1}")
+    if state.last_focus is None or state.last_focus != fixated:
+        return min(state.focus_shift + config.shift_increment, config.shift_max)
+    return max(state.focus_shift - config.shift_decrement, config.shift_min)
+
+
 def update_gaze_weights(state: GazeState, fixated: int, config: PartnerModelConfig) -> GazeState:
     """Shift attention weight toward the fixated target.
 
@@ -108,28 +129,12 @@ def update_gaze_weights(state: GazeState, fixated: int, config: PartnerModelConf
     other weight gives up an equal share of the actually realised gain,
     clamped at weight_min.
     """
-    n = len(state.weights)
-    if not 0 <= fixated < n:
-        raise ValueError(f"fixated target {fixated} out of range 0..{n - 1}")
-    focused_weight = state.weights[fixated]
-    gain = min(focused_weight + config.gaze_gain, config.capacity_max) - focused_weight
-    loss = gain / (n - 1) if n > 1 else 0.0
-    weights = tuple(
-        focused_weight + gain if i == fixated else max(w - loss, config.weight_min)
-        for i, w in enumerate(state.weights)
-    )
-    return replace(state, weights=weights)
+    return replace(state, weights=_shifted_weights(state.weights, fixated, config))
 
 
 def update_focus_shift(state: GazeState, fixated: int, config: PartnerModelConfig) -> GazeState:
     """Count focus changes: switching targets raises the counter, staying lowers it."""
-    if not 0 <= fixated < len(state.weights):
-        raise ValueError(f"fixated target {fixated} out of range 0..{len(state.weights) - 1}")
-    if state.last_focus is None or state.last_focus != fixated:
-        shift = min(state.focus_shift + config.shift_increment, config.shift_max)
-    else:
-        shift = max(state.focus_shift - config.shift_decrement, config.shift_min)
-    return replace(state, focus_shift=shift, last_focus=fixated)
+    return replace(state, focus_shift=_next_focus_shift(state, fixated, config), last_focus=fixated)
 
 
 def record_task_outcome(
@@ -185,8 +190,10 @@ class PartnerModel:
         self.awareness = TaskAwareness()
 
     def apply_gaze(self, fixated: int) -> None:
-        self.gaze = update_gaze_weights(self.gaze, fixated, self.config)
-        self.gaze = update_focus_shift(self.gaze, fixated, self.config)
+        """update_focus_shift(update_gaze_weights(gaze)), building one GazeState."""
+        gaze = self.gaze
+        weights = _shifted_weights(gaze.weights, fixated, self.config)
+        self.gaze = GazeState(weights, _next_focus_shift(gaze, fixated, self.config), fixated)
 
     def apply_action(self, action: Action) -> None:
         self.capacity = update_capacity(self.capacity, action, self.config)

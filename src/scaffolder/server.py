@@ -12,6 +12,13 @@ The dispatch core is synchronous and transport-free; the asyncio layer only
 frames lines, serialises replies, and runs the timeout clock.  All messages
 for one session funnel through the same sequential state machine no matter
 which connection carries them.
+
+Framing works on whole reads: every complete line in a read is dispatched in
+order and the unfinished tail waits for the next read.  Clients may pipeline;
+their requests are answered in order, and the replies to one read go out in
+one write, possibly one segment.  A line whose content is over 64 KiB gets
+one "line too long" reply and the rest of it is skipped through its newline;
+an unterminated final line is still answered at end of input.
 """
 
 from __future__ import annotations
@@ -39,9 +46,13 @@ REQUEST_KINDS = (
 )
 
 
+# json.dumps builds an encoder per call when given options; build it once.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def serialize(message: Mapping[str, Any]) -> bytes:
     """Canonical reply encoding: compact, key-sorted, newline-terminated."""
-    return (json.dumps(message, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    return (_encode(message) + "\n").encode("utf-8")
 
 
 @dataclass
@@ -222,18 +233,12 @@ def _parse_performance(message: Mapping[str, Any]) -> TaskPerformance:
     return TaskPerformance(*values)
 
 
-async def _skip_line(reader: asyncio.StreamReader, consumed: int) -> None:
-    """Drop the rest of an over-long line, through its newline or end of input,
-    so that it gets one reply however long it is."""
-    while True:
-        await reader.readexactly(consumed)
-        try:
-            await reader.readuntil(b"\n")
-            return
-        except asyncio.IncompleteReadError:
-            return
-        except asyncio.LimitOverrunError as exc:
-            consumed = exc.consumed
+# Longest line content served; a longer line gets one "line too long" reply.
+_LINE_LIMIT = 1 << 16
+# Replies are written and drained before their batch would pass this many
+# bytes, so a client that never reads holds at most about twice this in the
+# server's transport.
+_FLUSH_BYTES = 1 << 16
 
 
 class TcpServer:
@@ -299,26 +304,28 @@ class TcpServer:
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
         self._connections[task] = writer
+        tail = b""  # the unfinished last line of the reads so far
+        skipping = False  # inside an over-long line that has had its reply
         try:
             while True:
-                try:
-                    line = await reader.readuntil(b"\n")
-                except asyncio.IncompleteReadError as exc:
-                    line = exc.partial
-                except asyncio.LimitOverrunError as exc:
-                    await _skip_line(reader, exc.consumed)
-                    writer.write(serialize({"kind": "error", "reason": "line too long"}))
-                    await writer.drain()
-                    continue
-                if not line:
+                data = await reader.read(1 << 16)
+                if not data:
+                    # An unterminated final line is still a request.
+                    if tail:
+                        await self._answer([tail], writer)
                     break
-                result = self.service.dispatch(line.decode("utf-8", errors="replace"))
-                if result.disarm_timeout:
-                    self._disarm(result.disarm_timeout)
-                writer.write(serialize(result.reply))
-                if result.arm_timeout:
-                    self._arm(result.arm_timeout, writer)
-                await writer.drain()
+                if skipping:
+                    end = data.find(b"\n")
+                    if end < 0:
+                        continue
+                    data, skipping = data[end + 1 :], False
+                lines = (tail + data).split(b"\n")
+                tail = lines.pop()
+                if len(tail) > _LINE_LIMIT:
+                    # Answer it now; the rest of it is skipped through its newline.
+                    lines.append(tail)
+                    tail, skipping = b"", True
+                await self._answer(lines, writer)
         except ConnectionError:
             pass
         finally:
@@ -328,6 +335,33 @@ class TcpServer:
                 await writer.wait_closed()
             except (ConnectionError, RuntimeError):
                 pass
+
+    async def _answer(self, lines: list[bytes], writer: asyncio.StreamWriter) -> None:
+        """Dispatch lines in order and send their replies, one write and one
+        drain per batch of at most _FLUSH_BYTES (or of one larger reply)."""
+        replies: list[bytes] = []
+        pending = 0
+        for line in lines:
+            if len(line) > _LINE_LIMIT:
+                result = DispatchResult(reply={"kind": "error", "reason": "line too long"})
+            else:
+                result = self.service.dispatch(line.decode("utf-8", errors="replace"))
+            if result.disarm_timeout:
+                self._disarm(result.disarm_timeout)
+            reply = serialize(result.reply)
+            if replies and pending + len(reply) > _FLUSH_BYTES:
+                writer.write(b"".join(replies))
+                await writer.drain()
+                replies.clear()
+                pending = 0
+            replies.append(reply)
+            pending += len(reply)
+            # Armed once its reply is queued: a timeout error never overtakes it.
+            if result.arm_timeout:
+                self._arm(result.arm_timeout, writer)
+        if replies:
+            writer.write(b"".join(replies))
+            await writer.drain()
 
 
 async def serve(config: AppConfig, host: str | None = None, port: int | None = None) -> None:

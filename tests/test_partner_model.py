@@ -170,6 +170,32 @@ class TestFocusShift:
         assert got.focus_shift == pytest.approx(oracle_focus_shift(shift, changed), abs=1e-9)
 
 
+class TestApplyGaze:
+    @settings(max_examples=300)
+    @given(
+        weights=st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=6),
+        shift=st.floats(min_value=0, max_value=10),
+        data=st.data(),
+    )
+    def test_matches_composition(self, weights, shift, data):
+        n = len(weights)
+        last = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=n - 1)))
+        fixated = data.draw(st.integers(min_value=-2, max_value=n + 1))
+        state = GazeState(weights=tuple(weights), focus_shift=shift, last_focus=last)
+        model = PartnerModel()
+        model.gaze = state
+        try:
+            expected = update_focus_shift(update_gaze_weights(state, fixated, CFG), fixated, CFG)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                model.apply_gaze(fixated)
+            assert str(raised.value) == str(exc)
+            assert model.gaze == state
+        else:
+            model.apply_gaze(fixated)
+            assert model.gaze == expected
+
+
 class TestTaskAwareness:
     def test_double_positive_is_success(self):
         ta = record_task_outcome(TaskAwareness(), "t", True, True)

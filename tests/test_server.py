@@ -1,4 +1,5 @@
 import asyncio
+import contextlib
 import json
 import logging
 import math
@@ -6,6 +7,8 @@ import random
 import string
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scaffolder.config import config_digest, load_config
 from scaffolder.server import StrategyService, TcpServer, serialize
@@ -15,6 +18,35 @@ def golden_config(data_dir):
     return load_config(data_dir / "golden_config.yaml")
 
 
+@contextlib.asynccontextmanager
+async def connected(config):
+    """A fresh server and one client connection to it: (server, reader, writer)."""
+    server = TcpServer(StrategyService(config), host="127.0.0.1", port=0)
+    await server.start()
+    try:
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.bound_port)
+        try:
+            yield server, reader, writer
+        finally:
+            writer.close()
+            with contextlib.suppress(ConnectionError):
+                await writer.wait_closed()
+    finally:
+        await server.close()
+
+
+async def raw_exchange(config, chunks):
+    """Write each chunk of raw bytes, yielding to the loop between them, then
+    EOF; returns every byte the server sent before it closed."""
+    async with connected(config) as (_, reader, writer):
+        for chunk in chunks:
+            writer.write(chunk)
+            await writer.drain()
+            await asyncio.sleep(0)
+        writer.write_eof()
+        return await asyncio.wait_for(reader.read(), timeout=10)
+
+
 async def tcp_exchange(config, lines, read_extra_after=None, settle=0.0):
     """Send lines over one connection; returns the raw reply lines.
 
@@ -22,29 +54,16 @@ async def tcp_exchange(config, lines, read_extra_after=None, settle=0.0):
     pushed lines to read right after that request's reply (used for timeout
     errors), with ``settle`` seconds of sleep first.
     """
-    service = StrategyService(config)
-    server = TcpServer(service, host="127.0.0.1", port=0)
-    await server.start()
     replies = []
-    try:
-        reader, writer = await asyncio.open_connection("127.0.0.1", server.bound_port)
-        try:
-            for index, line in enumerate(lines):
-                writer.write(line.encode("utf-8") + b"\n")
-                await writer.drain()
-                replies.append(await asyncio.wait_for(reader.readline(), timeout=5))
-                if read_extra_after and index in read_extra_after:
-                    await asyncio.sleep(settle)
-                    for _ in range(read_extra_after[index]):
-                        replies.append(await asyncio.wait_for(reader.readline(), timeout=5))
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:
-                pass
-    finally:
-        await server.close()
+    async with connected(config) as (_, reader, writer):
+        for index, line in enumerate(lines):
+            writer.write(line.encode("utf-8") + b"\n")
+            await writer.drain()
+            replies.append(await asyncio.wait_for(reader.readline(), timeout=5))
+            if read_extra_after and index in read_extra_after:
+                await asyncio.sleep(settle)
+                for _ in range(read_extra_after[index]):
+                    replies.append(await asyncio.wait_for(reader.readline(), timeout=5))
     return replies
 
 
@@ -531,29 +550,174 @@ class TestFuzz:
         assert reply["kind"] == "error"
 
 
+LINE_LIMIT = 1 << 16
+OPEN = b'{"kind":"open_session"}'
+TOO_LONG = ("error", "line too long")
+EMPTY = ("error", "empty line")
+
+
+def padded_open(size):
+    """An open_session line whose content is exactly ``size`` bytes."""
+    head = b'{"kind":"open_session","pad":"'
+    return head + b"x" * (size - len(head) - 2) + b'"}'
+
+
 class TestLineFraming:
     def test_oversized_line_gets_one_reply(self, data_dir):
         pad = "x" * 1_000_000
         huge = '{"kind":"gaze_event","session":"s-000001","target":0,"pad":"' + pad + '"}'
         lines = ['{"kind":"open_session"}', huge, '{"kind":"close_session","session":"s-000001"}']
+        payload = "".join(line + "\n" for line in lines).encode("utf-8")
 
-        async def scenario():
-            server = TcpServer(StrategyService(golden_config(data_dir)), host="127.0.0.1", port=0)
-            await server.start()
-            try:
-                reader, writer = await asyncio.open_connection("127.0.0.1", server.bound_port)
-                writer.write("".join(line + "\n" for line in lines).encode("utf-8"))
-                writer.write_eof()
-                received = await asyncio.wait_for(reader.read(), timeout=10)
-                writer.close()
-                await writer.wait_closed()
-                return received
-            finally:
-                await server.close()
-
-        replies = [json.loads(line) for line in asyncio.run(scenario()).splitlines()]
+        received = asyncio.run(raw_exchange(golden_config(data_dir), [payload]))
+        replies = [json.loads(line) for line in received.splitlines()]
         assert [reply["kind"] for reply in replies] == ["session_opened", "error", "session_closed"]
         assert replies[1]["reason"] == "line too long"
+
+    @pytest.mark.parametrize(
+        "payload, expected",
+        [
+            pytest.param(padded_open(LINE_LIMIT) + b"\n", [("session_opened", None)], id="at-limit"),
+            pytest.param(padded_open(LINE_LIMIT + 1) + b"\n", [TOO_LONG], id="one-over-limit"),
+            pytest.param(
+                b"x" * 70_000 + b"\n" + OPEN + b"\n",
+                [TOO_LONG, ("session_opened", None)],
+                id="too-long-then-valid",
+            ),
+            pytest.param(
+                b"y" * 200_000 + b"\n" + padded_open(LINE_LIMIT + 1) + b"\n",
+                [TOO_LONG, TOO_LONG],
+                id="two-too-long",
+            ),
+            pytest.param(OPEN, [("session_opened", None)], id="unterminated-final-line"),
+            pytest.param(
+                OPEN + b"\n" + padded_open(LINE_LIMIT + 1),
+                [("session_opened", None), TOO_LONG],
+                id="unterminated-too-long",
+            ),
+            pytest.param(b"\r\n\n\r\n", [EMPTY, EMPTY, EMPTY], id="crlf-and-blank"),
+            pytest.param(b"\xff\xfe" + OPEN + b"\n", [("error", "malformed json")], id="undecodable"),
+        ],
+    )
+    def test_framing_edge_cases(self, data_dir, payload, expected):
+        received = asyncio.run(raw_exchange(golden_config(data_dir), [payload]))
+        replies = [json.loads(line) for line in received.splitlines()]
+        assert [reply["kind"] for reply in replies] == [kind for kind, _ in expected]
+        for reply, (_, reason) in zip(replies, expected):
+            if reason is not None:
+                assert reply["reason"].startswith(reason)
+
+
+QUERY = b'{"kind":"query_strategy","session":"s-000001","task":"t"}'
+PERFORMANCE = json.dumps(
+    {
+        "kind": "task_performance",
+        "session": "s-000001",
+        "task": "t",
+        "comprehension": {"success": True, "time": 1.0},
+        "enabledness": {"success": True, "time": 1.0},
+    }
+).encode("utf-8")
+
+
+def short_timeout_config(data_dir):
+    return load_config(data_dir / "golden_config.yaml", overrides={"server": {"query_timeout": 0.05}})
+
+
+class TestPipelining:
+    def test_golden_transcript_in_one_write(self, data_dir):
+        requests = (data_dir / "golden_requests.ndjson").read_bytes()
+        expected = (data_dir / "golden_replies.ndjson").read_bytes()
+        assert asyncio.run(raw_exchange(golden_config(data_dir), [requests])) == expected
+
+    def test_golden_transcript_dribbled(self, data_dir):
+        requests = (data_dir / "golden_requests.ndjson").read_bytes()
+        expected = (data_dir / "golden_replies.ndjson").read_bytes()
+        rng = random.Random(14)
+        chunks, start = [], 0
+        while start < len(requests):
+            end = start + rng.randint(1, 7)
+            chunks.append(requests[start:end])
+            start = end
+        assert asyncio.run(raw_exchange(golden_config(data_dir), chunks)) == expected
+
+    def test_query_answered_in_the_same_write_fires_no_timeout(self, data_dir):
+        async def scenario():
+            async with connected(short_timeout_config(data_dir)) as (server, reader, writer):
+                writer.write(OPEN + b"\n" + QUERY + b"\n" + PERFORMANCE + b"\n")
+                replies = [await asyncio.wait_for(reader.readline(), timeout=5) for _ in range(3)]
+                await asyncio.sleep(0.2)
+                timers = dict(server._timers)
+                writer.write_eof()
+                rest = await asyncio.wait_for(reader.read(), timeout=5)
+                return replies, timers, rest
+
+        replies, timers, rest = asyncio.run(scenario())
+        kinds = [json.loads(reply)["kind"] for reply in replies]
+        assert kinds == ["session_opened", "strategy_response", "episode_result"]
+        assert timers == {}
+        assert rest == b""
+
+    def test_query_ending_a_write_times_out(self, data_dir):
+        async def scenario():
+            async with connected(short_timeout_config(data_dir)) as (_, reader, writer):
+                writer.write(OPEN + b"\n" + QUERY + b"\n")
+                return [await asyncio.wait_for(reader.readline(), timeout=5) for _ in range(3)]
+
+        replies = [json.loads(reply) for reply in asyncio.run(scenario())]
+        assert [reply["kind"] for reply in replies] == ["session_opened", "strategy_response", "error"]
+        assert replies[2] == {"kind": "error", "reason": "task_performance timeout", "session": "s-000001"}
+
+
+class TestBackpressure:
+    def test_unread_replies_stay_bounded(self, data_dir):
+        lines = 1 << 20
+        reply = serialize({"kind": "error", "reason": "empty line"})
+
+        async def scenario():
+            async with connected(golden_config(data_dir)) as (server, reader, writer):
+                # The client transport keeps what the stalled server does not take.
+                writer.write(b"\n" * lines)
+                peak, samples_after_stall = 0, 0
+                for _ in range(1000):
+                    await asyncio.sleep(0.005)
+                    for conn in server._connections.values():
+                        peak = max(peak, conn.transport.get_write_buffer_size())
+                    # Past the high-water mark the server has stopped in drain().
+                    if peak > 64 << 10:
+                        samples_after_stall += 1
+                        if samples_after_stall == 20:
+                            break
+                writer.write_eof()
+                received = 0
+                while chunk := await asyncio.wait_for(reader.read(1 << 16), timeout=30):
+                    received += len(chunk)
+                return peak, received
+
+        peak, received = asyncio.run(scenario())
+        assert 64 << 10 < peak <= 128 << 10
+        assert received == lines * len(reply)
+
+    def test_one_write_answers_a_batch(self, data_dir, monkeypatch):
+        calls = []
+        write = asyncio.StreamWriter.write
+
+        def counting_write(self, data):
+            calls.append(self)
+            return write(self, data)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
+        gaze = b'{"kind":"gaze_event","session":"s-000001","target":0}\n'
+
+        async def scenario():
+            async with connected(golden_config(data_dir)) as (_, reader, writer):
+                writer.write(OPEN + b"\n" + gaze * 99)
+                replies = [await asyncio.wait_for(reader.readline(), timeout=5) for _ in range(100)]
+                return replies, sum(1 for caller in calls if caller is not writer)
+
+        replies, server_writes = asyncio.run(scenario())
+        assert [json.loads(reply)["kind"] for reply in replies] == ["session_opened"] + ["ack"] * 99
+        assert server_writes <= 4
 
 
 class TestShutdown:
@@ -579,6 +743,28 @@ class TestShutdown:
         assert [record.getMessage() for record in caplog.records] == []
 
 
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, 1e308, 5e-324]),
+    st.text(),
+    st.text(st.characters(min_codepoint=0x80)),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=20,
+)
+REPLY_SHAPED = st.dictionaries(
+    st.sampled_from(["kind", "session", "reason", "episode", "reward", "cumulative_reward", "triple"])
+    | st.text(),
+    JSON_VALUES,
+    max_size=8,
+)
+
+
 class TestSerialization:
     def test_replies_are_canonical_json_lines(self, data_dir):
         service = StrategyService(golden_config(data_dir))
@@ -588,3 +774,8 @@ class TestSerialization:
         decoded = json.loads(raw)
         assert decoded == reply
         assert raw == serialize(decoded)
+
+    @given(message=REPLY_SHAPED)
+    def test_matches_json_dumps(self, message):
+        expected = json.dumps(message, sort_keys=True, separators=(",", ":")) + "\n"
+        assert serialize(message) == expected.encode("utf-8")
