@@ -22,17 +22,20 @@ from .policy import Hyperparameters
 from .schema import Checked, bounded
 from .scoring import ScoringTable, default_scoring_table, load_scoring_table
 from .session import SessionConfig
+from .simulation import CAMPAIGN_RUNS, RunSpec
 
 CONFIG_ENV_VAR = "SCAFFOLDER_CONFIG"
 
 
 @dataclass
 class SimulationConfig(Checked):
-    runs: int = bounded(500, 1)
-    horizon: int = bounded(100, 1)
-    deviation_rate: float = bounded(0.05, 0.0, 1.0)
-    solve_time_low: float = bounded(1.0, 0.0)
-    solve_time_high: float = 10.0
+    # A run's defaults, under the config's stricter ranges: at least one
+    # episode, and solve_time_low <= solve_time_high.
+    runs: int = bounded(CAMPAIGN_RUNS, 1)
+    horizon: int = bounded(RunSpec.horizon, 1)
+    deviation_rate: float = bounded(RunSpec.deviation_rate, 0.0, 1.0)
+    solve_time_low: float = bounded(RunSpec.time_low, 0.0)
+    solve_time_high: float = RunSpec.time_high
     seed: int = 0
     workers: int = bounded(1, 1)
 

@@ -1,5 +1,5 @@
-"""Config records type each field by its annotation and range it with
-``bounded``; ``check_fields`` checks both and never converts a value."""
+"""Checked records type each scalar field by its annotation and range it
+with ``bounded``; ``check_fields`` checks both and never converts a value."""
 
 import dataclasses
 import math
@@ -20,10 +20,16 @@ def bounded(default: Any, low: float = -math.inf, high: float = math.inf, *,
 
 
 def check_fields(record: Any) -> None:
-    """Raise ValueError naming the first field of the wrong type or out of range."""
+    """Raise ValueError naming the first field of the wrong type or out of range.
+
+    A field of any other type, such as a nested record, is left to that
+    record's own constructor."""
     for item in dataclasses.fields(record):
         name, kind, value = item.name, item.type, getattr(record, item.name)
-        if not isinstance(value, _ACCEPTS[kind]) or (isinstance(value, bool) and kind != "bool"):
+        accepts = _ACCEPTS.get(kind)
+        if accepts is None:
+            continue
+        if not isinstance(value, accepts) or (isinstance(value, bool) and kind != "bool"):
             raise ValueError(f"{name} must be {kind}, got {value!r}")
         if kind in ("bool", "str"):
             continue
@@ -36,7 +42,7 @@ def check_fields(record: Any) -> None:
 
 
 class Checked:
-    """Base of a config record: its fields are checked whenever it is built."""
+    """Base of a checked record: its fields are checked whenever it is built."""
 
     def __post_init__(self) -> None:
         check_fields(self)

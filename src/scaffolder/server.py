@@ -64,6 +64,14 @@ class DispatchResult:
     disarm_timeout: str | None = None
 
 
+def _error(reason: str, session: str | None = None) -> DispatchResult:
+    """The one shape of an error reply."""
+    reply: dict[str, Any] = {"kind": "error", "reason": reason}
+    if session is not None:
+        reply["session"] = session
+    return DispatchResult(reply=reply)
+
+
 class StrategyService:
     """Transport-independent protocol state machine."""
 
@@ -74,46 +82,38 @@ class StrategyService:
         self.sessions: dict[str, Session] = {}
         self._counter = 0
 
-    # -- helpers ---------------------------------------------------------
-
-    def _error(self, reason: str, session: str | None = None) -> DispatchResult:
-        reply: dict[str, Any] = {"kind": "error", "reason": reason}
-        if session is not None:
-            reply["session"] = session
-        return DispatchResult(reply=reply)
-
     # -- dispatch --------------------------------------------------------
 
     def dispatch(self, line: str) -> DispatchResult:
         """Handle one raw inbound line; never raises."""
         text = line.strip()
         if not text:
-            return self._error("empty line")
+            return _error("empty line")
         try:
             message = json.loads(text)
         except (ValueError, RecursionError) as exc:
-            return self._error(f"malformed json: {exc}")
+            return _error(f"malformed json: {exc}")
         if not isinstance(message, dict):
-            return self._error("message must be a json object")
+            return _error("message must be a json object")
         kind = message.get("kind")
         if kind is None:
-            return self._error("missing kind")
+            return _error("missing kind")
         if not isinstance(kind, str) or kind not in REQUEST_KINDS:
-            return self._error(f"unknown kind: {kind!r}")
+            return _error(f"unknown kind: {kind!r}")
         if kind == "open_session":
             return self._open_session()
 
         session_id = message.get("session")
         if session_id is None:
-            return self._error("missing session")
+            return _error("missing session")
         if not isinstance(session_id, str) or session_id not in self.sessions:
-            return self._error(f"unknown session: {session_id!r}")
+            return _error(f"unknown session: {session_id!r}")
         try:
             return getattr(self, f"_{kind}")(session_id, message)
         except SessionStateError as exc:
-            return self._error(str(exc), session_id)
+            return _error(str(exc), session_id)
         except (TypeError, ValueError, KeyError, OverflowError) as exc:
-            return self._error(f"invalid message: {exc}", session_id)
+            return _error(f"invalid message: {exc}", session_id)
 
     # -- handlers --------------------------------------------------------
 
@@ -142,9 +142,9 @@ class StrategyService:
         session = self.sessions[session_id]
         target = message.get("target")
         if not isinstance(target, int) or isinstance(target, bool):
-            return self._error("gaze_event needs an integer target", session_id)
+            return _error("gaze_event needs an integer target", session_id)
         if not 0 <= target < len(session.partner.gaze.weights):
-            return self._error("target out of range", session_id)
+            return _error("target out of range", session_id)
         session.ingest_gaze(target)
         return DispatchResult(reply={"kind": "ack", "session": session_id})
 
@@ -152,7 +152,7 @@ class StrategyService:
         session = self.sessions[session_id]
         task = message.get("task")
         if not isinstance(task, str) or not task:
-            return self._error("query_strategy needs a task string", session_id)
+            return _error("query_strategy needs a task string", session_id)
         result = session.query(task)
         capacity, gaze, task_class = result.triple.as_labels()
         return DispatchResult(
@@ -170,10 +170,10 @@ class StrategyService:
     def _task_performance(self, session_id: str, message: Mapping[str, Any]) -> DispatchResult:
         session = self.sessions[session_id]
         if session.pending_task is None:
-            return self._error("no pending query", session_id)
+            return _error("no pending query", session_id)
         task = message.get("task")
         if task is not None and task != session.pending_task:
-            return self._error(
+            return _error(
                 f"task mismatch: pending {session.pending_task!r}, got {task!r}", session_id
             )
         performance = _parse_performance(message)
@@ -209,11 +209,7 @@ class StrategyService:
         if session is None or session.pending_task is None:
             return None
         session.abort_pending()
-        return {
-            "kind": "error",
-            "reason": "task_performance timeout",
-            "session": session_id,
-        }
+        return _error("task_performance timeout", session_id).reply
 
 
 def _parse_performance(message: Mapping[str, Any]) -> TaskPerformance:
@@ -343,7 +339,7 @@ class TcpServer:
         pending = 0
         for line in lines:
             if len(line) > _LINE_LIMIT:
-                result = DispatchResult(reply={"kind": "error", "reason": "line too long"})
+                result = _error("line too long")
             else:
                 result = self.service.dispatch(line.decode("utf-8", errors="replace"))
             if result.disarm_timeout:

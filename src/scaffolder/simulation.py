@@ -26,10 +26,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import fmean, pstdev
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .partner_model import PartnerModel
 from .policy import Hyperparameters, QTable, _below, init_from_scoring
+from .schema import Checked, bounded
 from .scoring import NEGATION, ScoringTable, default_scoring_table
 from .session import REWARD_DECAY, Session, TaskPerformance
 from .states import (
@@ -125,14 +126,47 @@ def make_user(kind: str, table: ScoringTable | None = None) -> UserModel:
     return UserModel(kind=kind, true_table=true_table, baseline=base.truth, **flags)
 
 
+# The paper's campaign size.
+CAMPAIGN_RUNS = 500
+
+
+@dataclass(frozen=True)
+class RunSpec(Checked):
+    """Everything one reproducible run needs; cheap to ship to a worker.
+
+    Checked when built, at the kernel's ranges: ``horizon`` >= 0,
+    ``deviation_rate`` in [0, 1], and finite non-negative solve times in
+    either order.  Its defaults are every run's: ``simulate_outcome`` and
+    the config's simulation section read them from here.
+    """
+
+    user_kind: str
+    preconfigured: bool
+    seed: int
+    horizon: int = bounded(100, 0)
+    hyper: Hyperparameters = field(default_factory=Hyperparameters)
+    deviation_rate: float = bounded(0.05, 0.0, 1.0)
+    time_low: float = bounded(1.0, 0.0)
+    time_high: float = bounded(10.0, 0.0)
+    table: ScoringTable | None = None
+
+    def __post_init__(self) -> None:
+        try:
+            super().__post_init__()
+        except ValueError as exc:
+            if str(exc).startswith(("time_low ", "time_high ")):
+                raise ValueError(f"solve times: {exc}") from None
+            raise
+
+
 def simulate_outcome(
     user: UserModel,
     triple: ObservationTriple,
     action: Action,
     rng: random.Random,
-    deviation_rate: float = 0.05,
-    time_low: float = 1.0,
-    time_high: float = 10.0,
+    deviation_rate: float = RunSpec.deviation_rate,
+    time_low: float = RunSpec.time_low,
+    time_high: float = RunSpec.time_high,
 ) -> TaskPerformance:
     """One synthetic task attempt.  Draw order is part of the contract:
     deviation first, then the two solve times."""
@@ -175,21 +209,6 @@ def recovery_episode(series: Sequence[float]) -> int | None:
         if value < 0:
             dipped = True
     return None if dipped else 0
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """Everything one reproducible run needs; cheap to ship to a worker."""
-
-    user_kind: str
-    preconfigured: bool
-    seed: int
-    horizon: int = 100
-    hyper: Hyperparameters = field(default_factory=Hyperparameters)
-    deviation_rate: float = 0.05
-    time_low: float = 1.0
-    time_high: float = 10.0
-    table: ScoringTable | None = None
 
 
 def _setup(spec: RunSpec) -> tuple[ScoringTable, QTable, random.Random]:
@@ -238,13 +257,10 @@ def run_simulation(spec: RunSpec) -> RunResult:
     ``low + span * random()``, ``randrange`` as ``_below``, and each score as
     ``timed_performance_score``'s ``sign * exp(-REWARD_DECAY * t)``.  It still
     reproduces, draw for draw, the object-level loop in ``tests/oracles.py``.
-    The solve-time bounds are checked once, before the first episode (so even
-    at horizon 0); finite non-negative bounds only ever draw finite
-    non-negative times.
+    ``RunSpec`` admits only finite non-negative solve-time bounds, which only
+    ever draw finite non-negative times.
     """
     low, high = spec.time_low, spec.time_high
-    if not (math.isfinite(low) and math.isfinite(high) and low >= 0 and high >= 0):
-        raise ValueError(f"solve times must be finite and non-negative, got {low} and {high}")
     table, qtable, rng = _setup(spec)
     # The seeded index stream picks from all_observation_triples() order,
     # which is the order table.truth is built in.
@@ -336,46 +352,54 @@ def summarize(results: Sequence[RunResult], horizon: int) -> CampaignSummary:
 
 
 def _run_seed(template: RunSpec, seed: int) -> RunResult:
-    """One campaign run; at module level so that a pool can pickle it."""
-    return run_simulation(replace(template, seed=seed))
+    """One campaign run: the template, checked once already, with ``seed``.
+
+    At module level so that a pool can pickle it, and calling
+    ``run_simulation`` by its global name so that a tracer sees every run.
+    """
+    spec = object.__new__(RunSpec)
+    spec.__dict__.update(template.__dict__, seed=seed)
+    return run_simulation(spec)
+
+
+def _campaigns(templates: Sequence[RunSpec], runs: int, workers: int) -> Iterator[CampaignResult]:
+    """One campaign per template: ``runs`` runs from the template's seed on.
+
+    Run i is the template with its seed plus i, serial or parallel, so both
+    give the same result.  With ``workers > 1`` every campaign runs in one
+    pool, which receives a template, table included, once per chunk of runs.
+    """
+    for name, count in (("runs", runs), ("workers", workers)):
+        if count < 1:
+            raise ValueError(f"{name} must be in [1, inf], got {count!r}")
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        for template in templates:
+            run = functools.partial(_run_seed, template)
+            seeds = range(template.seed, template.seed + runs)
+            if pool is None:
+                results = tuple(map(run, seeds))
+            else:
+                results = tuple(pool.map(run, seeds, chunksize=max(1, runs // (workers * 4))))
+            yield CampaignResult(horizon=template.horizon, results=results)
 
 
 def run_campaign(
     user_kind: str,
     preconfigured: bool,
     *,
-    runs: int = 500,
+    runs: int = CAMPAIGN_RUNS,
     base_seed: int = 0,
     workers: int = 1,
     **spec,
 ) -> CampaignResult:
     """A batch of independent runs with seeds base_seed .. base_seed+runs-1.
 
-    ``spec`` takes any other ``RunSpec`` field.  Run i is that template with
-    seed base_seed+i, serial or parallel, so both give the same result; a
-    pool receives the template, table included, once per chunk of runs.
+    ``spec`` takes any other ``RunSpec`` field; together they make the
+    template that every run copies, checked once.
     """
     template = RunSpec(user_kind, preconfigured, base_seed, **spec)
-    with _pool(workers) as pool:
-        return _campaign(template, runs, workers, pool)
-
-
-def _pool(workers: int) -> ProcessPoolExecutor | contextlib.nullcontext[None]:
-    """A process pool for ``workers > 1``; otherwise a context that yields None."""
-    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
-
-
-def _campaign(
-    template: RunSpec, runs: int, workers: int, pool: ProcessPoolExecutor | None
-) -> CampaignResult:
-    """``runs`` runs of ``template`` from its seed on, in ``pool`` if there is one."""
-    run = functools.partial(_run_seed, template)
-    seeds = range(template.seed, template.seed + runs)
-    if pool is None:
-        results = tuple(map(run, seeds))
-    else:
-        results = tuple(pool.map(run, seeds, chunksize=max(1, runs // (workers * 4))))
-    return CampaignResult(horizon=template.horizon, results=results)
+    (campaign,) = _campaigns((template,), runs, workers)
+    return campaign
 
 
 SWEEP_ALPHAS = (0.25, 0.5)
@@ -399,7 +423,7 @@ def run_sweep(
     user_kind: str = "A",
     hyper: Hyperparameters | None = None,
     *,
-    runs: int = 500,
+    runs: int = CAMPAIGN_RUNS,
     base_seed: int = 0,
     workers: int = 1,
     **spec,
@@ -412,26 +436,33 @@ def run_sweep(
     campaign, and with ``workers > 1`` all twelve share one pool.
     """
     base = hyper or Hyperparameters()
-    rows: list[SweepRow] = []
-    with _pool(workers) as pool:
+    templates = [
+        RunSpec(
+            user_kind,
+            preconfigured,
+            base_seed,
+            hyper=replace(base, alpha=alpha, gamma=gamma, epsilon=SWEEP_EPSILON),
+            **spec,
+        )
         for alpha, gamma, preconfigured in itertools.product(
             SWEEP_ALPHAS, SWEEP_GAMMAS, (False, True)
-        ):
-            row_hyper = replace(base, alpha=alpha, gamma=gamma, epsilon=SWEEP_EPSILON)
-            template = RunSpec(user_kind, preconfigured, base_seed, hyper=row_hyper, **spec)
-            stats = _campaign(template, runs, workers, pool).summary()
-            rows.append(
-                SweepRow(
-                    preconfigured=preconfigured,
-                    alpha=alpha,
-                    gamma=gamma,
-                    epsilon=SWEEP_EPSILON,
-                    z_mean=stats.z_mean,
-                    z_sd=stats.z_sd,
-                    reward_mean=stats.reward_mean,
-                    reward_sd=stats.reward_sd,
-                )
+        )
+    ]
+    rows: list[SweepRow] = []
+    for template, campaign in zip(templates, _campaigns(templates, runs, workers), strict=True):
+        stats = campaign.summary()
+        rows.append(
+            SweepRow(
+                preconfigured=template.preconfigured,
+                alpha=template.hyper.alpha,
+                gamma=template.hyper.gamma,
+                epsilon=SWEEP_EPSILON,
+                z_mean=stats.z_mean,
+                z_sd=stats.z_sd,
+                reward_mean=stats.reward_mean,
+                reward_sd=stats.reward_sd,
             )
+        )
     return rows
 
 

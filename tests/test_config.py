@@ -1,9 +1,12 @@
 import dataclasses
+import importlib
+import pkgutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scaffolder
 from scaffolder.config import (
     CONFIG_ENV_VAR,
     AppConfig,
@@ -14,8 +17,11 @@ from scaffolder.config import (
 )
 from scaffolder.partner_model import PartnerModelConfig
 from scaffolder.policy import Hyperparameters
+from scaffolder.schema import Checked, check_fields
+from scaffolder.scoring import default_scoring_table
 from scaffolder.server import StrategyService
 from scaffolder.session import SessionConfig
+from scaffolder.simulation import RunSpec
 
 
 class TestDefaults:
@@ -290,3 +296,25 @@ class TestSchemaProperty:
         config = load_config(overrides={"partner_model": {"num_targets": 1000}})
         reply = StrategyService(config).dispatch('{"kind": "open_session"}').reply
         assert reply["kind"] == "session_opened"
+
+
+class TestSchemaCoverage:
+    def test_record_typed_fields_are_left_to_their_records(self):
+        # ``hyper`` and ``table`` are records that check themselves when built.
+        check_fields(RunSpec("A", True, 0, table=default_scoring_table()))
+
+    def test_every_checked_record_builds_with_its_defaults(self):
+        for module in pkgutil.iter_modules(scaffolder.__path__):
+            importlib.import_module(f"scaffolder.{module.name}")
+        records = Checked.__subclasses__()
+        assert {RunSpec, SimulationConfig, Hyperparameters} <= set(records)
+        # Values for the fields that have no default.
+        required = {"user_kind": "A", "preconfigured": True, "seed": 0}
+        for cls in records:
+            record = cls(**{
+                item.name: required[item.name]
+                for item in dataclasses.fields(cls)
+                if item.default is dataclasses.MISSING
+                and item.default_factory is dataclasses.MISSING
+            })
+            check_fields(record)

@@ -1,13 +1,17 @@
 import csv
+import inspect
 import itertools
 import math
 import random
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import oracle_run_simulation
 from scaffolder import simulation
+from scaffolder.config import SimulationConfig
 from scaffolder.policy import Hyperparameters
 from scaffolder.scoring import HESITATION, NEGATION, default_scoring_table, scaffolding_score
 from scaffolder.simulation import (
@@ -301,6 +305,119 @@ class TestKernel:
             assert states == tuple(STATE_INDEX[state] for state, _ in table.truth.values())
             for row, triple in zip(wins, all_observation_triples(), strict=True):
                 assert row == tuple(user.performs_well(triple, action) for action in ACTIONS)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+ANY_SCALAR = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.integers(-3, 12), st.booleans()
+)
+
+
+class TestRunSpecChecked:
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [
+            ("horizon", -5),
+            ("deviation_rate", 7.0),
+            ("deviation_rate", -0.1),
+            ("deviation_rate", math.nan),
+            ("preconfigured", 1),
+            ("time_low", math.inf),
+            ("time_high", -1.0),
+        ],
+    )
+    def test_bad_value_rejected_when_built(self, name, value):
+        fields_ = {"user_kind": "A", "preconfigured": True, "seed": 0, name: value}
+        with pytest.raises(ValueError, match=name):
+            RunSpec(**fields_)
+
+    @pytest.mark.parametrize("name", ["runs", "workers"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda **kw: run_campaign("A", True, horizon=5, **kw),
+            lambda **kw: run_sweep("A", horizon=5, **kw),
+        ],
+        ids=["run_campaign", "run_sweep"],
+    )
+    def test_campaign_counts_below_one_rejected(self, call, name):
+        with pytest.raises(ValueError, match=name):
+            call(**{"runs": 3, name: 0})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(USER_KINDS),
+        seed=st.integers(-(2**70), 2**70),
+        fields_=st.fixed_dictionaries(
+            {
+                "preconfigured": st.booleans(),
+                "horizon": st.integers(0, 12),
+                "deviation_rate": st.floats(0.0, 1.0),
+                "time_low": st.floats(0.0, 20.0),
+                "time_high": st.floats(0.0, 20.0),
+            }
+        ),
+        # About half the specs get one field replaced by any scalar.
+        bad=st.none() | st.tuples(
+            st.sampled_from(["preconfigured", "horizon", "deviation_rate", "time_low", "time_high"]),
+            ANY_SCALAR,
+        ),
+    )
+    def test_spec_is_rejected_when_built_or_matches_oracle(self, kind, seed, fields_, bad):
+        if bad is not None:
+            fields_[bad[0]] = bad[1]
+        preconfigured, horizon = fields_["preconfigured"], fields_["horizon"]
+        valid = (
+            isinstance(preconfigured, bool)
+            and _is_number(horizon) and isinstance(horizon, int) and horizon >= 0
+            and all(
+                _is_number(value) and 0.0 <= value < math.inf
+                for value in (fields_["deviation_rate"], fields_["time_low"], fields_["time_high"])
+            )
+            and fields_["deviation_rate"] <= 1.0
+        )
+        try:
+            spec = RunSpec(kind, seed=seed, **fields_)
+        except ValueError:
+            assert not valid
+            return
+        assert valid
+        assert run_simulation(spec).series == oracle_run_simulation(spec).series
+
+    def test_run_defaults_agree(self):
+        config = SimulationConfig()
+        spec = RunSpec("A", True, 0)
+        outcome = inspect.signature(simulate_outcome).parameters
+        assert (spec.horizon, spec.deviation_rate, spec.time_low, spec.time_high) == (
+            config.horizon,
+            config.deviation_rate,
+            config.solve_time_low,
+            config.solve_time_high,
+        )
+        assert (spec.deviation_rate, spec.time_low, spec.time_high) == tuple(
+            outcome[name].default for name in ("deviation_rate", "time_low", "time_high")
+        )
+        for function in (run_campaign, run_sweep):
+            params = inspect.signature(function).parameters
+            assert (config.runs, config.seed, config.workers) == tuple(
+                params[name].default for name in ("runs", "base_seed", "workers")
+            )
+
+    def test_campaign_checks_its_spec_once(self, monkeypatch):
+        checked = []
+        check = RunSpec.__post_init__
+
+        def counting(spec):
+            checked.append(spec.seed)
+            check(spec)
+
+        monkeypatch.setattr(RunSpec, "__post_init__", counting)
+        campaign = run_campaign("B", True, runs=10, horizon=5, base_seed=20)
+        assert [result.seed for result in campaign.results] == list(range(20, 30))
+        assert checked == [20]
 
 
 class TestCampaign:
