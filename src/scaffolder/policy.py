@@ -47,11 +47,14 @@ class Hyperparameters(Checked):
     q_init: float = 0.5
 
 
+DEFAULT_HYPER = Hyperparameters()  # frozen, so shared by every table and run built without one
+
+
 class QTable:
     """Mutable value and visit tables plus the exploration schedule."""
 
     def __init__(self, hyper: Hyperparameters | None = None) -> None:
-        self.hyper = hyper or Hyperparameters()
+        self.hyper = hyper or DEFAULT_HYPER
         self.values: list[list[float]] = [[0.0] * len(ACTIONS) for _ in STATES]
         self.visits: list[list[int]] = [[0] * len(ACTIONS) for _ in STATES]
         self.epsilon: float = self.hyper.epsilon

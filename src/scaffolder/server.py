@@ -28,6 +28,7 @@ import contextlib
 import ctypes
 import json
 import random
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -36,15 +37,6 @@ from .policy import init_from_scoring
 from .scoring import ScoringTable
 from .session import Session, SessionStateError, TaskPerformance
 from .partner_model import PartnerModel
-
-REQUEST_KINDS = (
-    "open_session",
-    "gaze_event",
-    "task_performance",
-    "query_strategy",
-    "close_session",
-)
-
 
 # json.dumps builds an encoder per call when given options; build it once.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -98,18 +90,20 @@ class StrategyService:
         kind = message.get("kind")
         if kind is None:
             return _error("missing kind")
-        if not isinstance(kind, str) or kind not in REQUEST_KINDS:
-            return _error(f"unknown kind: {kind!r}")
         if kind == "open_session":
             return self._open_session()
+        handler = self._HANDLERS.get(kind) if isinstance(kind, str) else None
+        if handler is None:
+            return _error(f"unknown kind: {kind!r}")
 
         session_id = message.get("session")
         if session_id is None:
             return _error("missing session")
-        if not isinstance(session_id, str) or session_id not in self.sessions:
+        session = self.sessions.get(session_id) if isinstance(session_id, str) else None
+        if session is None:
             return _error(f"unknown session: {session_id!r}")
         try:
-            return getattr(self, f"_{kind}")(session_id, message)
+            return handler(self, session_id, session, message)
         except SessionStateError as exc:
             return _error(str(exc), session_id)
         except (TypeError, ValueError, KeyError, OverflowError) as exc:
@@ -138,8 +132,7 @@ class StrategyService:
             }
         )
 
-    def _gaze_event(self, session_id: str, message: Mapping[str, Any]) -> DispatchResult:
-        session = self.sessions[session_id]
+    def _gaze_event(self, session_id: str, session: Session, message: Mapping[str, Any]) -> DispatchResult:
         target = message.get("target")
         if not isinstance(target, int) or isinstance(target, bool):
             return _error("gaze_event needs an integer target", session_id)
@@ -148,8 +141,7 @@ class StrategyService:
         session.ingest_gaze(target)
         return DispatchResult(reply={"kind": "ack", "session": session_id})
 
-    def _query_strategy(self, session_id: str, message: Mapping[str, Any]) -> DispatchResult:
-        session = self.sessions[session_id]
+    def _query_strategy(self, session_id: str, session: Session, message: Mapping[str, Any]) -> DispatchResult:
         task = message.get("task")
         if not isinstance(task, str) or not task:
             return _error("query_strategy needs a task string", session_id)
@@ -167,8 +159,7 @@ class StrategyService:
             arm_timeout=session_id,
         )
 
-    def _task_performance(self, session_id: str, message: Mapping[str, Any]) -> DispatchResult:
-        session = self.sessions[session_id]
+    def _task_performance(self, session_id: str, session: Session, message: Mapping[str, Any]) -> DispatchResult:
         if session.pending_task is None:
             return _error("no pending query", session_id)
         task = message.get("task")
@@ -189,13 +180,20 @@ class StrategyService:
             disarm_timeout=session_id,
         )
 
-    def _close_session(self, session_id: str, message: Mapping[str, Any]) -> DispatchResult:
-        session = self.sessions.pop(session_id)
+    def _close_session(self, session_id: str, session: Session, message: Mapping[str, Any]) -> DispatchResult:
+        del self.sessions[session_id]
         session.abort_pending()
         return DispatchResult(
             reply={"kind": "session_closed", "session": session_id},
             disarm_timeout=session_id,
         )
+
+    _HANDLERS = {
+        "gaze_event": _gaze_event,
+        "query_strategy": _query_strategy,
+        "task_performance": _task_performance,
+        "close_session": _close_session,
+    }
 
     # -- timeout ---------------------------------------------------------
 
@@ -240,12 +238,14 @@ _FLUSH_BYTES = 1 << 16
 class TcpServer:
     """Asyncio shell: line framing, reply serialisation, timeout clock."""
 
-    def __init__(self, service: StrategyService, host: str | None = None, port: int | None = None):
+    def __init__(self, service: StrategyService, host: str, port: int):
         self.service = service
-        self.host = host if host is not None else service.config.server.host
-        self.port = port if port is not None else service.config.server.port
+        self.host = host
+        self.port = port
         self._server: asyncio.AbstractServer | None = None
-        self._timers: dict[str, asyncio.TimerHandle] = {}
+        # Pending queries in deadline order, as the timeout is one constant.
+        self._timers: OrderedDict[str, tuple[float, asyncio.StreamWriter]] = OrderedDict()
+        self._clock: asyncio.TimerHandle | None = None
         # Live connections: handler task -> its writer, so close() can end them.
         self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
@@ -258,44 +258,43 @@ class TcpServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
         async with self._server:
             await self._server.serve_forever()
 
     async def close(self) -> None:
-        for handle in self._timers.values():
-            handle.cancel()
+        if self._clock is not None:
+            self._clock.cancel()
         self._timers.clear()
-        if self._server is not None:
-            self._server.close()
+        self._server.close()
         for writer in self._connections.values():
             writer.close()
         await asyncio.gather(*self._connections, return_exceptions=True)
-        if self._server is not None:
-            await self._server.wait_closed()
-
-    def _disarm(self, session_id: str) -> None:
-        handle = self._timers.pop(session_id, None)
-        if handle is not None:
-            handle.cancel()
+        await self._server.wait_closed()
 
     def _arm(self, session_id: str, writer: asyncio.StreamWriter) -> None:
-        self._disarm(session_id)
         loop = asyncio.get_running_loop()
-        timeout = self.service.config.server.query_timeout
-        self._timers[session_id] = loop.call_later(timeout, self._fire, session_id, writer)
+        deadline = loop.time() + self.service.config.server.query_timeout
+        self._timers.pop(session_id, None)  # a re-armed session goes to the back
+        self._timers[session_id] = (deadline, writer)
+        if self._clock is None:
+            self._clock = loop.call_at(deadline, self._expire)
 
-    def _fire(self, session_id: str, writer: asyncio.StreamWriter) -> None:
-        self._timers.pop(session_id, None)
-        reply = self.service.timeout_pending(session_id)
-        if reply is None:
-            return
-        try:
-            writer.write(serialize(reply))
-        except (ConnectionError, RuntimeError):
-            pass
+    def _expire(self) -> None:
+        """Time out every query whose deadline has passed, then wait for the head."""
+        loop = asyncio.get_running_loop()
+        # asyncio may run a timer up to a clock tick early: what it ran for is due.
+        now = max(loop.time(), self._clock.when())
+        self._clock = None
+        while self._timers:
+            session_id, (deadline, writer) = next(iter(self._timers.items()))
+            if deadline > now:
+                self._clock = loop.call_at(deadline, self._expire)
+                break
+            del self._timers[session_id]
+            reply = self.service.timeout_pending(session_id)
+            if reply is not None:
+                with contextlib.suppress(ConnectionError, RuntimeError):
+                    writer.write(serialize(reply))
 
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
@@ -343,7 +342,7 @@ class TcpServer:
             else:
                 result = self.service.dispatch(line.decode("utf-8", errors="replace"))
             if result.disarm_timeout:
-                self._disarm(result.disarm_timeout)
+                self._timers.pop(result.disarm_timeout, None)
             reply = serialize(result.reply)
             if replies and pending + len(reply) > _FLUSH_BYTES:
                 writer.write(b"".join(replies))
@@ -360,7 +359,7 @@ class TcpServer:
             await writer.drain()
 
 
-async def serve(config: AppConfig, host: str | None = None, port: int | None = None) -> None:
+async def serve(config: AppConfig, host: str, port: int) -> None:
     """Run the service until cancelled."""
     # asyncio reads each chunk into a new 256 KiB buffer.  Keep glibc from
     # mapping a fresh one per read, which costs a page fault per request.
@@ -369,8 +368,7 @@ async def serve(config: AppConfig, host: str | None = None, port: int | None = N
         ctypes.CDLL(None).mallopt(-1, 2 << 20)  # M_TRIM_THRESHOLD
     server = TcpServer(StrategyService(config), host=host, port=port)
     await server.start()
-    bound = server.bound_port
-    print(f"listening on {server.host}:{bound}", flush=True)
+    print(f"listening on {host}:{server.bound_port}", flush=True)
     try:
         await server.serve_forever()
     finally:

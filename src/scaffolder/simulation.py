@@ -23,13 +23,13 @@ import itertools
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import fmean, pstdev
 from typing import Iterator, Mapping, Sequence
 
 from .partner_model import PartnerModel
-from .policy import Hyperparameters, QTable, _below, init_from_scoring
+from .policy import DEFAULT_HYPER, Hyperparameters, QTable, _below, init_from_scoring
 from .schema import Checked, bounded
 from .scoring import NEGATION, ScoringTable, default_scoring_table
 from .session import REWARD_DECAY, Session, TaskPerformance
@@ -144,7 +144,7 @@ class RunSpec(Checked):
     preconfigured: bool
     seed: int
     horizon: int = bounded(100, 0)
-    hyper: Hyperparameters = field(default_factory=Hyperparameters)
+    hyper: Hyperparameters = DEFAULT_HYPER
     deviation_rate: float = bounded(0.05, 0.0, 1.0)
     time_low: float = bounded(1.0, 0.0)
     time_high: float = bounded(10.0, 0.0)
@@ -435,13 +435,12 @@ def run_sweep(
     keywords mean what they mean to ``run_campaign``.  Every row is that
     campaign, and with ``workers > 1`` all twelve share one pool.
     """
-    base = hyper or Hyperparameters()
     templates = [
         RunSpec(
             user_kind,
             preconfigured,
             base_seed,
-            hyper=replace(base, alpha=alpha, gamma=gamma, epsilon=SWEEP_EPSILON),
+            hyper=replace(hyper or DEFAULT_HYPER, alpha=alpha, gamma=gamma, epsilon=SWEEP_EPSILON),
             **spec,
         )
         for alpha, gamma, preconfigured in itertools.product(

@@ -476,6 +476,93 @@ class TestTimeout:
         assert parsed[2]["kind"] == "episode_result"
         assert parsed[3] == {"kind": "ack", "session": "s-000001"}
 
+    def test_pending_queries_share_one_clock(self, data_dir):
+        count = 20
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            scheduled = []
+            call_at = loop.call_at
+
+            # call_later schedules through call_at, so this sees every timer.
+            def recording_call_at(when, callback, *args, **kwargs):
+                handle = call_at(when, callback, *args, **kwargs)
+                scheduled.append((getattr(callback, "__self__", None), handle))
+                return handle
+
+            loop.call_at = recording_call_at
+            async with connected(golden_config(data_dir)) as (server, reader, writer):
+                writer.write(b"".join(OPEN + b"\n" + for_session(QUERY, n) + b"\n" for n in range(1, count + 1)))
+                replies = [await asyncio.wait_for(reader.readline(), timeout=5) for _ in range(2 * count)]
+                pending = len(server._timers)
+                writer.write(b"".join(for_session(PERFORMANCE, n) + b"\n" for n in range(1, count + 1)))
+                replies += [await asyncio.wait_for(reader.readline(), timeout=5) for _ in range(count)]
+                answered = len(server._timers)
+            armed = {id(handle) for owner, handle in scheduled if owner is server}
+            return replies, pending, answered, len(armed)
+
+        replies, pending, answered, armed = asyncio.run(scenario())
+        kinds = [json.loads(reply)["kind"] for reply in replies]
+        assert kinds == ["session_opened", "strategy_response"] * count + ["episode_result"] * count
+        assert (pending, answered) == (count, 0)
+        assert armed == 1
+
+    @pytest.mark.parametrize(
+        "requests, expired",
+        [
+            ([("query", 1), ("query", 2)], [1, 2]),
+            # Answered and queried again, s-000001 moves behind s-000002.
+            ([("query", 1), ("query", 2), ("performance", 1), ("query", 1)], [2, 1]),
+        ],
+    )
+    @pytest.mark.parametrize("gap", [0.0, 0.05])
+    def test_queries_time_out_in_the_order_made(self, data_dir, requests, expired, gap):
+        """Requests ``gap`` seconds apart make the clock wake for each head in turn."""
+        config = load_config(data_dir / "golden_config.yaml", overrides={"server": {"query_timeout": 0.2}})
+
+        async def scenario():
+            async with connected(config) as (_, reader, writer):
+                writer.write(OPEN + b"\n" + OPEN + b"\n")
+                for name, n in requests:
+                    writer.write(for_session(TIMED_REQUESTS[name][0], n) + b"\n")
+                    await asyncio.sleep(gap)
+                lines = [await asyncio.wait_for(reader.readline(), timeout=5) for _ in range(len(requests) + 4)]
+            return [json.loads(line) for line in lines]
+
+        replies = asyncio.run(scenario())
+        assert [reply["kind"] for reply in replies[: len(requests) + 2]] == [
+            "session_opened",
+            "session_opened",
+            *(TIMED_REQUESTS[name][1] for name, _ in requests),
+        ]
+        assert replies[len(requests) + 2 :] == [
+            {"kind": "error", "reason": "task_performance timeout", "session": f"s-{n:06d}"} for n in expired
+        ]
+
+    def test_close_cancels_the_clock(self, data_dir):
+        async def scenario():
+            server = TcpServer(StrategyService(short_timeout_config(data_dir)), host="127.0.0.1", port=0)
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.bound_port)
+            writer.write(OPEN + b"\n" + QUERY + b"\n")
+            replies = [await asyncio.wait_for(reader.readline(), timeout=5) for _ in range(2)]
+            clock = server._clock
+            await server.close()
+            await asyncio.sleep(0.2)
+            tail = await asyncio.wait_for(reader.read(), timeout=5)
+            writer.close()
+            await writer.wait_closed()
+            session = server.service.sessions["s-000001"]
+            return replies, clock.cancelled(), dict(server._timers), session.pending_task, tail
+
+        replies, cancelled, timers, pending_task, tail = asyncio.run(scenario())
+        assert [json.loads(reply)["kind"] for reply in replies] == ["session_opened", "strategy_response"]
+        assert cancelled
+        assert timers == {}
+        # The query was never timed out: its session still waits for it.
+        assert pending_task == "t"
+        assert tail == b""
+
 
 def junk_lines(count, seed):
     """Deterministic stream of hostile lines: random text, broken JSON,
@@ -618,6 +705,14 @@ PERFORMANCE = json.dumps(
         "enabledness": {"success": True, "time": 1.0},
     }
 ).encode("utf-8")
+
+
+TIMED_REQUESTS = {"query": (QUERY, "strategy_response"), "performance": (PERFORMANCE, "episode_result")}
+
+
+def for_session(line, number):
+    """One of the s-000001 requests above, sent for session ``number``."""
+    return line.replace(b"s-000001", f"s-{number:06d}".encode())
 
 
 def short_timeout_config(data_dir):

@@ -2,6 +2,7 @@ import csv
 import inspect
 import itertools
 import math
+import pickle
 import random
 from dataclasses import fields, replace
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from oracles import oracle_run_simulation
 from scaffolder import simulation
 from scaffolder.config import SimulationConfig
-from scaffolder.policy import Hyperparameters
+from scaffolder.policy import Hyperparameters, QTable, init_from_scoring
 from scaffolder.scoring import HESITATION, NEGATION, default_scoring_table, scaffolding_score
 from scaffolder.simulation import (
     USER_KINDS,
@@ -405,6 +406,14 @@ class TestRunSpecChecked:
             assert (config.runs, config.seed, config.workers) == tuple(
                 params[name].default for name in ("runs", "base_seed", "workers")
             )
+
+    def test_specs_share_one_default_hyper(self):
+        first, second = RunSpec("B", True, 5), RunSpec("A", False, 6)
+        assert first.hyper is second.hyper
+        assert QTable().hyper is first.hyper
+        assert init_from_scoring(default_scoring_table()).hyper is first.hyper
+        assert first.hyper == Hyperparameters()
+        assert pickle.loads(pickle.dumps(first)) == first
 
     def test_campaign_checks_its_spec_once(self, monkeypatch):
         checked = []
