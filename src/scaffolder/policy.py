@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .schema import Checked, bounded
-from .scoring import ScoringTable
+from .scoring import ScoringTable, write_csv
 from .states import (
     ACTIONS,
     ACTION_INDEX,
@@ -25,6 +25,9 @@ from .states import (
     STATES,
     STATE_INDEX,
 )
+
+
+_SNAPSHOT_COLUMNS = ["state", "action", "value", "visits"]
 
 
 def _below(rng: random.Random, n: int) -> int:
@@ -128,30 +131,39 @@ class QTable:
 
     def save(self, path: str | Path) -> None:
         """Write one row per (state, action) cell: label, label, value, visits."""
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["state", "action", "value", "visits"])
-            for si, state in enumerate(STATES):
-                for ai, action in enumerate(ACTIONS):
-                    writer.writerow(
-                        [state.value, action.label, repr(self.values[si][ai]), self.visits[si][ai]]
-                    )
+        rows = [
+            [state.value, action.label, self.values[si][ai], self.visits[si][ai]]
+            for si, state in enumerate(STATES)
+            for ai, action in enumerate(ACTIONS)
+        ]
+        write_csv(path, _SNAPSHOT_COLUMNS, rows)
 
     @classmethod
     def load(cls, path: str | Path, hyper: Hyperparameters | None = None) -> "QTable":
+        """Read a ``save`` snapshot: its four columns, and each of the 36 cells once."""
         table = cls(hyper)
+        missing = dict.fromkeys(f"cell ({s.value}, {a.label})" for s in STATES for a in ACTIONS)
         with open(path, newline="", encoding="utf-8") as handle:
-            for row in csv.DictReader(handle):
-                si = STATE_INDEX[CognitiveState(row["state"])]
-                ai = ACTION_INDEX[Action.from_label(row["action"])]
-                value, visits = float(row["value"]), int(row["visits"])
+            reader = csv.reader(handle)
+            if next(reader, None) != _SNAPSHOT_COLUMNS:
+                raise ValueError(f"a Q-table snapshot's columns are {','.join(_SNAPSHOT_COLUMNS)}")
+            for state, action, value, visits in reader:  # a ragged row fails to unpack
+                si = STATE_INDEX[CognitiveState(state)]
+                ai = ACTION_INDEX[Action.from_label(action)]
+                cell = f"cell ({STATES[si].value}, {ACTIONS[ai].label})"
+                if cell not in missing:
+                    raise ValueError(f"{cell} appears twice")
+                del missing[cell]
+                value, visits = float(value), int(visits)
                 if not math.isfinite(value) or visits < 0:
                     raise ValueError(
-                        f"cell ({row['state']}, {row['action']}) needs a finite value and"
-                        f" non-negative visits, got {value} and {visits}"
+                        f"{cell} needs a finite value and non-negative visits,"
+                        f" got {value} and {visits}"
                     )
                 table.values[si][ai] = value
                 table.visits[si][ai] = visits
+        if missing:
+            raise ValueError(f"{next(iter(missing))} is missing")
         return table
 
 

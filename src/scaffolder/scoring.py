@@ -10,11 +10,12 @@ two hesitation types, and the resulting pair names a cognitive state.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .states import (
     Action,
@@ -68,6 +69,9 @@ class ScoringTable:
                         raise ValueError(
                             f"missing entry ({category}, {value}, {strategy})"
                         )
+        for key, vote in self.entries.items():
+            if not math.isfinite(vote):
+                raise ValueError(f"vote {key} must be finite, got {vote}")
         object.__setattr__(
             self,
             "weights",
@@ -79,8 +83,8 @@ class ScoringTable:
             {s: int(self.score_max.get(s, len(CATEGORY_VALUES))) for s in self.strategies},
         )
         for strategy, weight in self.weights.items():
-            if weight <= 0:
-                raise ValueError(f"weight of {strategy!r} must be positive, got {weight}")
+            if not 0 < weight < math.inf:
+                raise ValueError(f"weight of {strategy!r} must be positive and finite, got {weight}")
         for strategy, smax in self.score_max.items():
             if smax <= 0:
                 raise ValueError(f"score_max of {strategy!r} must be positive, got {smax}")
@@ -219,15 +223,24 @@ def default_scoring_table() -> ScoringTable:
         return _parse_scoring_csv(handle)
 
 
-def dump_scoring_table(table: ScoringTable, path: str | Path) -> None:
-    """Write a rubric back out in the CSV layout ``load_scoring_table`` reads."""
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable[object]]) -> None:
+    """The one CSV layout the package writes: UTF-8, a header row, then ``rows``.
+
+    Rows end in ``csv``'s default ``\\r\\n``, and ``csv`` writes a float as its
+    ``repr``, so a seeded file is byte-stable.
+    """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["category", "observation", *table.strategies])
-        for category, values in CATEGORY_VALUES.items():
-            for value in values:
-                row = [category, value]
-                for strategy in table.strategies:
-                    vote = table.entry(category, value, strategy)
-                    row.append(str(int(vote)) if vote == int(vote) else str(vote))
-                writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def dump_scoring_table(table: ScoringTable, path: str | Path) -> None:
+    """Write a rubric back out in the CSV layout ``load_scoring_table`` reads,
+    a whole vote as an integer."""
+    rows = []
+    for category, values in CATEGORY_VALUES.items():
+        for value in values:
+            votes = (table.entry(category, value, strategy) for strategy in table.strategies)
+            rows.append([category, value, *(int(v) if v == int(v) else v for v in votes)])
+    write_csv(path, ["category", "observation", *table.strategies], rows)

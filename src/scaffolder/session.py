@@ -8,7 +8,6 @@ feed the reward back into the policy using the freshly re-classified state.
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 from .partner_model import PartnerModel
 from .policy import QTable
 from .schema import Checked, bounded
-from .scoring import ScoringTable
+from .scoring import ScoringTable, write_csv
 from .states import Action, CognitiveState, ObservationTriple
 
 
@@ -189,34 +188,31 @@ class Session:
 
 
 def write_episode_csv(records: Sequence[EpisodeRecord], path: str | Path) -> None:
-    """Dump episode records; one row per episode, floats via repr."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "episode",
-                "capacity_class",
-                "gaze_class",
-                "task_class",
-                "cognitive_state",
-                "negation_type",
-                "hesitation_type",
-                "reward",
-                "cumulative_reward",
-            ]
-        )
-        for record in records:
-            capacity, gaze, task = record.triple.as_labels()
-            writer.writerow(
-                [
-                    record.index,
-                    capacity,
-                    gaze,
-                    task,
-                    record.state.value,
-                    record.action.negation.value,
-                    record.action.hesitation.value,
-                    repr(record.reward),
-                    repr(record.cumulative_reward),
-                ]
-            )
+    """Dump episode records; one row per episode."""
+    rows = (
+        [
+            record.index,
+            *record.triple.as_labels(),
+            record.state.value,
+            record.action.negation.value,
+            record.action.hesitation.value,
+            record.reward,
+            record.cumulative_reward,
+        ]
+        for record in records
+    )
+    write_csv(
+        path,
+        [
+            "episode",
+            "capacity_class",
+            "gaze_class",
+            "task_class",
+            "cognitive_state",
+            "negation_type",
+            "hesitation_type",
+            "reward",
+            "cumulative_reward",
+        ],
+        rows,
+    )

@@ -17,13 +17,12 @@ triple is fully reproducible, serial or parallel.
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
 import itertools
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from statistics import fmean, pstdev
 from typing import Iterator, Mapping, Sequence
@@ -31,7 +30,7 @@ from typing import Iterator, Mapping, Sequence
 from .partner_model import PartnerModel
 from .policy import DEFAULT_HYPER, Hyperparameters, QTable, _below, init_from_scoring
 from .schema import Checked, bounded
-from .scoring import NEGATION, ScoringTable, default_scoring_table
+from .scoring import NEGATION, ScoringTable, default_scoring_table, write_csv
 from .session import REWARD_DECAY, Session, TaskPerformance
 from .states import (
     ACTIONS,
@@ -409,6 +408,8 @@ SWEEP_EPSILON = 0.75
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One row of the sweep CSV, its fields in the CSV's column order."""
+
     preconfigured: bool
     alpha: float
     gamma: float
@@ -473,54 +474,21 @@ def write_campaign_csv(campaign: CampaignResult, path: str | Path) -> None:
     holds the mean final cumulative reward.
     """
     stats = campaign.summary()
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["seed", "Z", "censored", "final_reward"])
-        for result in campaign.results:
-            recovery = result.recovery
-            writer.writerow(
-                [
-                    result.seed,
-                    "" if recovery is None else recovery,
-                    str(recovery is None).lower(),
-                    repr(result.final_reward),
-                ]
-            )
-        writer.writerow(
-            [
-                "aggregate",
-                repr(stats.z_mean),
-                repr(stats.non_recovery_rate),
-                repr(stats.reward_mean),
-            ]
-        )
+    rows = []
+    for run in campaign.results:
+        z = run.recovery
+        rows.append([run.seed, "" if z is None else z, str(z is None).lower(), run.final_reward])
+    rows.append(["aggregate", stats.z_mean, stats.non_recovery_rate, stats.reward_mean])
+    write_csv(path, ["seed", "Z", "censored", "final_reward"], rows)
 
 
 def write_series_csv(campaign: CampaignResult, path: str | Path) -> None:
     """Per-episode mean and spread of the cumulative reward, for plotting."""
-    horizon = campaign.horizon
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["episode", "mean_cumulative_reward", "sd"])
-        for index in range(horizon):
-            values = [result.series[index] for result in campaign.results]
-            writer.writerow([index + 1, repr(fmean(values)), repr(pstdev(values))])
+    columns = zip(*(result.series for result in campaign.results))
+    rows = ([index, fmean(values), pstdev(values)] for index, values in enumerate(columns, 1))
+    write_csv(path, ["episode", "mean_cumulative_reward", "sd"], rows)
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["H_S", "alpha", "gamma", "epsilon", "Z_m", "Z_sd", "R_m", "R_sd"])
-        for row in rows:
-            writer.writerow(
-                [
-                    "T" if row.preconfigured else "F",
-                    repr(row.alpha),
-                    repr(row.gamma),
-                    repr(row.epsilon),
-                    repr(row.z_mean),
-                    repr(row.z_sd),
-                    repr(row.reward_mean),
-                    repr(row.reward_sd),
-                ]
-            )
+    cells = (["T" if row.preconfigured else "F", *astuple(row)[1:]] for row in rows)
+    write_csv(path, ["H_S", "alpha", "gamma", "epsilon", "Z_m", "Z_sd", "R_m", "R_sd"], cells)

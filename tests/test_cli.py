@@ -1,5 +1,8 @@
+import argparse
 import csv
+import re
 import socket
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +10,16 @@ from scaffolder import server as server_mod
 from scaffolder.cli import build_parser, main
 from scaffolder.policy import Hyperparameters
 from scaffolder.simulation import run_sweep, write_sweep_csv
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def subcommands():
+    """Each subcommand's parser, by name."""
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
 
 
 def run_cli(argv, capsys):
@@ -45,6 +58,21 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             build_parser().parse_args(["serve", "--bind", bind])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", list(subcommands()))
+    def test_readme_names_every_option(self, command):
+        # README's CLI reference must name exactly the options the parser defines.
+        reference = README.read_text(encoding="utf-8").split("## CLI reference", 1)[1]
+        reference = reference.split("\n## ", 1)[0]
+        section = reference.split(f"### `scaffolder {command}`", 1)[1].split("\n### ", 1)[0]
+        documented = set(re.findall(r"--[a-z][a-z-]*", section))
+        defined = {
+            option
+            for action in subcommands()[command]._actions
+            for option in action.option_strings
+            if option.startswith("--")
+        }
+        assert documented == defined - {"--help"}
 
 
 class TestSimulate:
@@ -155,6 +183,7 @@ class TestConfigErrors:
             ["simulate", "--config", "list_document.yaml"],
             ["serve", "--config", "scalar_section.yaml"],
             ["simulate", "--runs", "2", "--config", "scalar_simulation.yaml"],
+            ["simulate", "--runs", "2", "--config", "non_finite_votes.yaml"],
         ],
     )
     def test_usage_error(self, argv, tmp_path, monkeypatch):
@@ -176,6 +205,11 @@ class TestConfigErrors:
             "list_document.yaml": "[]\n",
             "scalar_section.yaml": "server: 0\n",
             "scalar_simulation.yaml": "simulation: 5\n",
+            "non_finite_votes.yaml": "scoring_csv: non_finite_votes.csv\n",
+            "non_finite_votes.csv": header
+            + "capacity,low,nan,1\ncapacity,high,1,0\ngaze,distracted,1,inf\n"
+            + "gaze,uncertain,1,1\ngaze,focused,0,0\ntask,unknown,0,1\ntask,failure,0,1\n"
+            + "task,misc_enabledness,1,0\ntask,misc_comprehension,0,1\ntask,success,1,0\n",
         }
         for name, text in files.items():
             (tmp_path / name).write_text(text)

@@ -1,6 +1,7 @@
 import csv
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -357,3 +358,55 @@ class TestSnapshot:
             QTable.load(path)
         assert rows[7]["state"] in str(info.value)
         assert rows[7]["action"] in str(info.value)
+
+    @staticmethod
+    def rewrite(path, keep):
+        """Rewrite a saved snapshot, keeping the columns and rows ``keep`` picks."""
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows(keep(rows))
+
+    @pytest.mark.parametrize(
+        "keep, message",
+        [
+            (lambda rows: rows[:2], "cell (EngagedObserver, affirmation+hesitation) is missing"),
+            (
+                lambda rows: rows[:8] + rows[9:],
+                "cell (EngagedMisinterpreter, affirmation+hesitation) is missing",
+            ),
+            (
+                lambda rows: rows + [rows[4]],
+                "cell (EngagedObserver, negation_affirmation+hesitation) appears twice",
+            ),
+            (
+                lambda rows: rows[:3] + [rows[1]] + rows[3:],
+                "cell (EngagedObserver, affirmation) appears twice",
+            ),
+        ],
+        ids=["one_row", "one_cell_missing", "repeated_at_end", "repeated_at_start"],
+    )
+    def test_partial_or_repeated_snapshot_rejected(self, tmp_path, keep, message):
+        # Before, a missing cell loaded as value 0 with no visits, and a
+        # repeated cell kept its last row.
+        path = tmp_path / "snapshot.csv"
+        QTable().save(path)
+        self.rewrite(path, keep)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            QTable.load(path)
+
+    @pytest.mark.parametrize("column", range(4))
+    def test_missing_column_rejected(self, tmp_path, column):
+        path = tmp_path / "snapshot.csv"
+        QTable().save(path)
+        self.rewrite(path, lambda rows: [row[:column] + row[column + 1 :] for row in rows])
+        with pytest.raises(ValueError, match="state,action,value,visits"):
+            QTable.load(path)
+
+    @pytest.mark.parametrize("keep", [lambda row: row[:3], lambda row: row + ["1"]], ids=["short", "long"])
+    def test_ragged_row_rejected(self, tmp_path, keep):
+        path = tmp_path / "snapshot.csv"
+        QTable().save(path)
+        self.rewrite(path, lambda rows: rows[:4] + [keep(rows[4])] + rows[5:])
+        with pytest.raises(ValueError, match="expected 4"):
+            QTable.load(path)

@@ -94,6 +94,35 @@ class TestTableContent:
         with pytest.raises(KeyError):
             default_table.with_entry("capacity", "medium", NEGATION, 1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "build, key",
+        [
+            (lambda table, bad: table.with_entry("gaze", "focused", HESITATION, bad), "focused"),
+            (
+                lambda table, bad: ScoringTable(
+                    entries={**table.entries, ("task", "failure", NEGATION): bad}
+                ),
+                "failure",
+            ),
+            (lambda table, bad: table.reweighted(HESITATION, bad), HESITATION),
+            (lambda table, bad: ScoringTable(entries=table.entries, weights={NEGATION: bad}), NEGATION),
+        ],
+        ids=["with_entry", "entries", "reweighted", "weights"],
+    )
+    def test_non_finite_vote_or_weight_rejected(self, default_table, build, key, bad):
+        # A NaN vote lands in the top bin, since every comparison with it is false.
+        with pytest.raises(ValueError, match=key):
+            build(default_table, bad)
+
+    def test_non_finite_vote_in_csv_rejected(self, default_table, tmp_path):
+        path = tmp_path / "table.csv"
+        dump_scoring_table(default_table, path)
+        text = path.read_text(encoding="utf-8").replace("gaze,uncertain,1,1", "gaze,uncertain,nan,1")
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="uncertain"):
+            load_scoring_table(path)
+
 
 class TestScore:
     def test_high_focused_success_negation(self, default_table):

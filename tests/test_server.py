@@ -563,6 +563,25 @@ class TestTimeout:
         assert pending_task == "t"
         assert tail == b""
 
+    def test_rearmed_session_moves_behind_the_others(self, data_dir):
+        # A session re-queried from another connection while its query still
+        # waits to be armed is armed twice with no disarm between; it must
+        # take the newest deadline and writer at the back of the queue.
+        async def scenario():
+            server = TcpServer(StrategyService(short_timeout_config(data_dir)), host="127.0.0.1", port=0)
+            first, other, newer = object(), object(), object()
+            server._arm("s1", first)
+            server._arm("s2", other)
+            server._arm("s1", newer)
+            timers = dict(server._timers)
+            server._clock.cancel()
+            return list(timers), timers["s1"][1] is newer, [deadline for deadline, _ in timers.values()]
+
+        order, newer_held, deadlines = asyncio.run(scenario())
+        assert order == ["s2", "s1"]
+        assert newer_held
+        assert deadlines == sorted(deadlines)
+
 
 def junk_lines(count, seed):
     """Deterministic stream of hostile lines: random text, broken JSON,
