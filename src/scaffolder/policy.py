@@ -154,11 +154,15 @@ class QTable:
                 if cell not in missing:
                     raise ValueError(f"{cell} appears twice")
                 del missing[cell]
-                value, visits = float(value), int(visits)
-                if not math.isfinite(value) or visits < 0:
+                try:
+                    value, visits = float(value), int(visits)
+                    bad = not math.isfinite(value) or visits < 0
+                except ValueError:
+                    bad = True
+                if bad:
                     raise ValueError(
                         f"{cell} needs a finite value and non-negative visits,"
-                        f" got {value} and {visits}"
+                        f" got {value!r} and {visits!r}"
                     )
                 table.values[si][ai] = value
                 table.visits[si][ai] = visits

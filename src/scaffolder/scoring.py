@@ -80,14 +80,14 @@ class ScoringTable:
         object.__setattr__(
             self,
             "score_max",
-            {s: int(self.score_max.get(s, len(CATEGORY_VALUES))) for s in self.strategies},
+            {s: self.score_max.get(s, len(CATEGORY_VALUES)) for s in self.strategies},
         )
         for strategy, weight in self.weights.items():
             if not 0 < weight < math.inf:
                 raise ValueError(f"weight of {strategy!r} must be positive and finite, got {weight}")
         for strategy, smax in self.score_max.items():
-            if smax <= 0:
-                raise ValueError(f"score_max of {strategy!r} must be positive, got {smax}")
+            if type(smax) is not int or smax <= 0:
+                raise ValueError(f"score_max of {strategy!r} must be a positive int, got {smax!r}")
 
     def entry(self, category: str, observation: str, strategy: str) -> float:
         return self.entries[(category, observation, strategy)]
@@ -196,7 +196,10 @@ def _rows_to_entries(
             key = (category, observation, strategy)
             if key in entries:
                 raise ValueError(f"duplicate entry for {key}")
-            entries[key] = float(row[strategy])
+            try:
+                entries[key] = float(row[strategy])
+            except ValueError:
+                raise ValueError(f"vote {key} must be a number, got {row[strategy]!r}") from None
     return entries
 
 

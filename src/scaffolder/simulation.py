@@ -1,14 +1,15 @@
 """Desk-scale simulation study: synthetic users, runs, campaigns, sweeps.
 
 Four synthetic user types probe how quickly the policy recovers when the
-partner's real needs disagree with the rubric's assumptions:
+partner's real needs disagree with the rubric's assumptions.  Each is one
+``_USER_TYPES`` entry naming the observation values it refuses:
 
-* ``A`` behaves exactly as the rubric predicts.
-* ``B`` needs the opposite capacity treatment: corrections only land while
-  capacity is low.
-* ``C`` additionally reacts against the rubric's task reading and insists on
-  the matching hesitation cue.
-* ``D`` additionally performs poorly whenever not visually focused.
+* ``A`` refuses nothing and behaves exactly as the rubric predicts.
+* ``B`` refuses high capacity: corrections only land while capacity is low.
+* ``C`` also refuses the tasks it has misexecuted or solved, and insists on
+  the rubric's hesitation cue.
+* ``D`` also refuses a distracted or uncertain gaze, under which every
+  action fails.
 
 Every run is a fixed-order random stream, so a (user, hyperparameters, seed)
 triple is fully reproducible, serial or parallel.
@@ -30,99 +31,84 @@ from typing import Iterator, Mapping, Sequence
 from .partner_model import PartnerModel
 from .policy import DEFAULT_HYPER, Hyperparameters, QTable, _below, init_from_scoring
 from .schema import Checked, bounded
-from .scoring import NEGATION, ScoringTable, default_scoring_table, write_csv
+from .scoring import CATEGORY_VALUES, NEGATION, ScoringTable, default_scoring_table, write_csv
 from .session import REWARD_DECAY, Session, TaskPerformance
 from .states import (
     ACTIONS,
     Action,
-    CapacityClass,
     CognitiveState,
-    GazeClass,
     NegationType,
     ObservationTriple,
     STATE_INDEX,
-    TaskClass,
 )
 
-# (kind, negation votes as (category, observation, vote), behaviour flags).
-# Each kind keeps every edit and flag of the kinds above it and adds its own.
+# One entry per kind: (kind, the category it reads differently, the values of
+# that category it refuses, whether it insists on the rubric's hesitation
+# cue).  Each kind keeps every refusal and the cue of the kinds above it.
 _USER_TYPES = (
-    ("A", (), {}),
-    ("B", (("capacity", "low", 1), ("capacity", "high", 0)), {"negation_rule": True}),
-    (
-        "C",
-        (
-            ("task", "unknown", 1),
-            ("task", "failure", 1),
-            ("task", "misc_enabledness", 0),
-            ("task", "misc_comprehension", 1),
-            ("task", "success", 0),
-        ),
-        {
-            "negation_blocked_tasks": frozenset({TaskClass.MISC_ENABLEDNESS, TaskClass.SUCCESS}),
-            "hesitation_strict": True,
-        },
-    ),
-    (
-        "D",
-        (("gaze", "distracted", 0), ("gaze", "uncertain", 0), ("gaze", "focused", 1)),
-        {"needs_focused_gaze": True},
-    ),
+    ("A", None, (), False),
+    ("B", "capacity", ("high",), False),
+    ("C", "task", ("misc_enabledness", "success"), True),
+    ("D", "gaze", ("distracted", "uncertain"), False),
 )
-USER_KINDS = tuple(kind for kind, _, _ in _USER_TYPES)
+USER_KINDS = tuple(kind for kind, *_ in _USER_TYPES)
 
 
 @dataclass(frozen=True)
 class UserModel:
-    """A synthetic partner: a private rubric plus behavioural quirks.
+    """A synthetic partner: the rubric plus the observation values it refuses.
 
-    ``true_table`` is descriptive only: the base rubric with this kind's
-    negation votes edited.  Outcomes come from the behavioural flags, and for
-    B, C and D the two disagree on some (triple, action) cells.
+    ``refused`` holds (category, observation) pairs.  ``true_table`` states
+    them as votes but is descriptive only: for B, C and D it disagrees with
+    ``performs_well`` on some (triple, action) cells.
     """
 
     kind: str
     true_table: ScoringTable
     baseline: Mapping[ObservationTriple, tuple[CognitiveState, Action]]
-    negation_rule: bool = False
-    negation_blocked_tasks: frozenset = frozenset()
-    needs_focused_gaze: bool = False
+    refused: frozenset[tuple[str, str]] = frozenset()
     hesitation_strict: bool = False
 
     def performs_well(self, triple: ObservationTriple, action: Action) -> bool:
-        """Whether this partner would succeed given the observation and action."""
-        baseline_action = self.baseline[triple][1]
-        if self.needs_focused_gaze and triple.gaze is not GazeClass.FOCUSED:
+        """Whether this partner would succeed given the observation and action.
+
+        A refused gaze fails every action.  A partner that refuses anything
+        takes any negation unless its capacity or task is refused or, when
+        ``hesitation_strict``, the hesitation is not the rubric's.  Every
+        other action succeeds only if it is the rubric's own.
+        """
+        capacity, gaze, task = triple.as_labels()
+        if ("gaze", gaze) in self.refused:
             return False
-        if self.negation_rule and action.negation is not NegationType.AFFIRMATION:
-            if triple.capacity is not CapacityClass.LOW:
+        baseline_action = self.baseline[triple][1]
+        if self.refused and action.negation is not NegationType.AFFIRMATION:
+            if ("capacity", capacity) in self.refused or ("task", task) in self.refused:
                 return False
-            if triple.task in self.negation_blocked_tasks:
-                return False
-            if self.hesitation_strict and action.hesitation is not baseline_action.hesitation:
-                return False
-            return True
+            return not self.hesitation_strict or action.hesitation is baseline_action.hesitation
         return action == baseline_action
 
 
 def make_user(kind: str, table: ScoringTable | None = None) -> UserModel:
     """Build one of the four synthetic user types from a base rubric.
 
-    The users nest (see ``_USER_TYPES``), so the disagreement with the base
-    rubric grows monotonically: 2, 7 and 10 edited votes for B, C and D.
+    The kind's ``_USER_TYPES`` entry and those above it give its refusals.
+    ``true_table`` is the base rubric with a negation vote of 0 for each
+    refused value and 1 for the rest of its category: 2, 7 and 10 edited
+    votes for B, C and D.
     """
     if kind not in USER_KINDS:
         raise ValueError(f"unknown user kind {kind!r}, expected one of {USER_KINDS}")
     base = table or default_scoring_table()
-    votes: dict[tuple[str, str, str], float] = {}
-    flags: dict = {}
-    for name, edits, quirks in _USER_TYPES:
-        votes.update(((category, value, NEGATION), float(vote)) for category, value, vote in edits)
-        flags.update(quirks)
-        if name == kind:
-            break
+    entries = _USER_TYPES[: USER_KINDS.index(kind) + 1]
+    refused = frozenset((category, value) for _, category, values, _ in entries for value in values)
+    votes = {
+        (category, value, NEGATION): float((category, value) not in refused)
+        for category, _ in refused
+        for value in CATEGORY_VALUES[category]
+    }
     true_table = replace(base, entries={**base.entries, **votes}) if votes else base
-    return UserModel(kind=kind, true_table=true_table, baseline=base.truth, **flags)
+    strict = any(cue for *_, cue in entries)
+    return UserModel(kind, true_table, base.truth, refused, strict)
 
 
 # The paper's campaign size.

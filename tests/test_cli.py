@@ -184,9 +184,10 @@ class TestConfigErrors:
             ["serve", "--config", "scalar_section.yaml"],
             ["simulate", "--runs", "2", "--config", "scalar_simulation.yaml"],
             ["simulate", "--runs", "2", "--config", "non_finite_votes.yaml"],
+            ["simulate", "--runs", "2", "--config", "bad_cell.yaml"],
         ],
     )
-    def test_usage_error(self, argv, tmp_path, monkeypatch):
+    def test_usage_error(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         header = "category,observation,negation,hesitation\n"
         files = {
@@ -210,6 +211,11 @@ class TestConfigErrors:
             + "capacity,low,nan,1\ncapacity,high,1,0\ngaze,distracted,1,inf\n"
             + "gaze,uncertain,1,1\ngaze,focused,0,0\ntask,unknown,0,1\ntask,failure,0,1\n"
             + "task,misc_enabledness,1,0\ntask,misc_comprehension,0,1\ntask,success,1,0\n",
+            "bad_cell.yaml": "scoring_csv: bad_cell.csv\n",
+            "bad_cell.csv": header
+            + "capacity,low,0,1\ncapacity,high,1,0\ngaze,distracted,1,1\n"
+            + "gaze,uncertain,1,x\ngaze,focused,0,0\ntask,unknown,0,1\ntask,failure,0,1\n"
+            + "task,misc_enabledness,1,0\ntask,misc_comprehension,0,1\ntask,success,1,0\n",
         }
         for name, text in files.items():
             (tmp_path / name).write_text(text)
@@ -223,6 +229,8 @@ class TestConfigErrors:
             main(argv)
         assert err.value.code == 2
         assert not started
+        if "bad_cell.yaml" in argv:
+            assert "('gaze', 'uncertain', 'hesitation')" in capsys.readouterr().err
 
 
 class TestServe:

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -239,6 +240,16 @@ class TestDigest:
         # values must not change it for a valid config.
         assert config_digest(AppConfig()) == "f59ded1ecd42"
         assert config_digest(load_config(data_dir / "golden_config.yaml")) == "79d29a45e942"
+
+    def test_readme_config_block_is_the_default(self, tmp_path):
+        # README's annotated configuration must name every key with its default.
+        readme = Path(__file__).parent.parent / "README.md"
+        section = readme.read_text(encoding="utf-8").split("\n## Configuration\n", 1)[1]
+        path = tmp_path / "readme.yaml"
+        path.write_text(section.split("```yaml\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+        config = load_config(path)
+        assert config == AppConfig()
+        assert config_digest(config) == config_digest(AppConfig())
 
     def test_changes_when_config_changes(self):
         base = config_digest(load_config())

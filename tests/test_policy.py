@@ -340,7 +340,15 @@ class TestSnapshot:
         assert loaded.visits == qtable.visits
 
     @pytest.mark.parametrize(
-        "column, bad", [("value", "nan"), ("value", "inf"), ("value", "-inf"), ("visits", "-1")]
+        "column, bad",
+        [
+            ("value", "nan"),
+            ("value", "inf"),
+            ("value", "-inf"),
+            ("visits", "-1"),
+            ("value", "x"),
+            ("visits", "1.5"),
+        ],
     )
     def test_non_finite_value_or_negative_visits_rejected(self, tmp_path, column, bad):
         # A NaN cell would be picked as the argmax (list.count and list.index

@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 from dataclasses import fields
 
@@ -114,6 +115,21 @@ class TestTableContent:
         # A NaN vote lands in the top bin, since every comparison with it is false.
         with pytest.raises(ValueError, match=key):
             build(default_table, bad)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", float("inf"), 0, -1])
+    def test_score_max_must_be_a_positive_int(self, default_table, bad):
+        # int() read 2.5 as 2, True as 1 and "3" as 3, and raised
+        # OverflowError for inf.
+        with pytest.raises(ValueError, match="score_max of 'hesitation'"):
+            ScoringTable(entries=default_table.entries, score_max={HESITATION: bad})
+
+    def test_non_numeric_vote_in_csv_names_its_cell(self, default_table, tmp_path):
+        path = tmp_path / "table.csv"
+        dump_scoring_table(default_table, path)
+        text = path.read_text(encoding="utf-8").replace("task,success,1,0", "task,success,1,x")
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape("('task', 'success', 'hesitation')")):
+            load_scoring_table(path)
 
     def test_non_finite_vote_in_csv_rejected(self, default_table, tmp_path):
         path = tmp_path / "table.csv"

@@ -126,6 +126,33 @@ class TestMakeUser:
         assert d_score == 0.0
 
 
+def golden_user_lines(base):
+    """One line per (table, kind): the kind's ``true_table`` votes in key
+    order, then its ``performs_well`` row of six per triple.  The tables are
+    ``base`` and each of its single-vote flips."""
+    tables = [("default", base)] + [
+        (".".join(key), base.with_entry(*key, 1 - vote)) for key, vote in sorted(base.entries.items())
+    ]
+    for label, table in tables:
+        for kind in USER_KINDS:
+            user = make_user(kind, table)
+            votes = ",".join(f"{vote:g}" for _, vote in sorted(user.true_table.entries.items()))
+            wins = ".".join(
+                "".join("1" if user.performs_well(triple, action) else "0" for action in ACTIONS)
+                for triple in all_observation_triples()
+            )
+            yield f"{label} {kind} {votes} {wins}"
+
+
+class TestGoldenUsers:
+    def test_each_kind_matches_its_golden_lines(self, default_table, data_dir):
+        # golden_users.txt was written by golden_user_lines while each user
+        # was still a set of behaviour flags beside a list of edited votes.
+        golden = (data_dir / "golden_users.txt").read_text(encoding="utf-8").splitlines()
+        assert len(golden) == 21 * len(USER_KINDS)
+        assert list(golden_user_lines(default_table)) == golden
+
+
 class TestSimulateOutcome:
     def test_matching_action_with_no_deviation_succeeds(self, truth):
         user = make_user("A")
