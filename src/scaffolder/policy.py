@@ -148,8 +148,14 @@ class QTable:
             if next(reader, None) != _SNAPSHOT_COLUMNS:
                 raise ValueError(f"a Q-table snapshot's columns are {','.join(_SNAPSHOT_COLUMNS)}")
             for state, action, value, visits in reader:  # a ragged row fails to unpack
-                si = STATE_INDEX[CognitiveState(state)]
-                ai = ACTION_INDEX[Action.from_label(action)]
+                try:
+                    si = STATE_INDEX[CognitiveState(state)]
+                except ValueError:
+                    raise ValueError(f"row {reader.line_num}: unknown state {state!r}") from None
+                try:
+                    ai = ACTION_INDEX[Action.from_label(action)]
+                except ValueError:
+                    raise ValueError(f"row {reader.line_num}: unknown action {action!r}") from None
                 cell = f"cell ({STATES[si].value}, {ACTIONS[ai].label})"
                 if cell not in missing:
                     raise ValueError(f"{cell} appears twice")

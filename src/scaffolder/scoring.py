@@ -75,7 +75,7 @@ class ScoringTable:
         object.__setattr__(
             self,
             "weights",
-            {s: float(self.weights.get(s, 1.0)) for s in self.strategies},
+            {s: self.weights.get(s, 1.0) for s in self.strategies},
         )
         object.__setattr__(
             self,
@@ -83,8 +83,9 @@ class ScoringTable:
             {s: self.score_max.get(s, len(CATEGORY_VALUES)) for s in self.strategies},
         )
         for strategy, weight in self.weights.items():
-            if not 0 < weight < math.inf:
-                raise ValueError(f"weight of {strategy!r} must be positive and finite, got {weight}")
+            if isinstance(weight, bool) or not isinstance(weight, (int, float)) or not 0 < weight < math.inf:
+                raise ValueError(f"weight of {strategy!r} must be a positive, finite number, got {weight!r}")
+            self.weights[strategy] = float(weight)
         for strategy, smax in self.score_max.items():
             if type(smax) is not int or smax <= 0:
                 raise ValueError(f"score_max of {strategy!r} must be a positive int, got {smax!r}")

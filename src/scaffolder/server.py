@@ -13,6 +13,10 @@ frames lines, serialises replies, and runs the timeout clock.  All messages
 for one session funnel through the same sequential state machine no matter
 which connection carries them.
 
+The replies alone drive the clock: a strategy_response starts its session's
+once queued, an episode_result or session_closed stops it, and any other
+reply, an error included, leaves it as it is.
+
 Framing works on whole reads: every complete line in a read is dispatched in
 order and the unfinished tail waits for the next read.  Clients may pipeline;
 their requests are answered in order, and the replies to one read go out in
@@ -49,19 +53,17 @@ def serialize(message: Mapping[str, Any]) -> bytes:
 
 @dataclass
 class DispatchResult:
-    """A reply plus timer bookkeeping for the transport layer."""
+    """The reply to one line; ``TcpServer._answer`` runs the clock from its kind."""
 
     reply: dict[str, Any]
-    arm_timeout: str | None = None
-    disarm_timeout: str | None = None
 
 
-def _error(reason: str, session: str | None = None) -> DispatchResult:
+def _error(reason: str, session: str | None = None) -> dict[str, Any]:
     """The one shape of an error reply."""
     reply: dict[str, Any] = {"kind": "error", "reason": reason}
     if session is not None:
         reply["session"] = session
-    return DispatchResult(reply=reply)
+    return reply
 
 
 class StrategyService:
@@ -78,6 +80,9 @@ class StrategyService:
 
     def dispatch(self, line: str) -> DispatchResult:
         """Handle one raw inbound line; never raises."""
+        return DispatchResult(self._reply(line))
+
+    def _reply(self, line: str) -> dict[str, Any]:
         text = line.strip()
         if not text:
             return _error("empty line")
@@ -111,7 +116,7 @@ class StrategyService:
 
     # -- handlers --------------------------------------------------------
 
-    def _open_session(self) -> DispatchResult:
+    def _open_session(self) -> dict[str, Any]:
         self._counter += 1
         session_id = f"s-{self._counter:06d}"
         session = Session(
@@ -124,42 +129,37 @@ class StrategyService:
             rng=random.Random(self._counter),
         )
         self.sessions[session_id] = session
-        return DispatchResult(
-            reply={
-                "kind": "session_opened",
-                "session": session_id,
-                "config_digest": self.digest,
-            }
-        )
+        return {
+            "kind": "session_opened",
+            "session": session_id,
+            "config_digest": self.digest,
+        }
 
-    def _gaze_event(self, session_id: str, session: Session, message: Mapping[str, Any]) -> DispatchResult:
+    def _gaze_event(self, session_id: str, session: Session, message: Mapping[str, Any]) -> dict[str, Any]:
         target = message.get("target")
         if not isinstance(target, int) or isinstance(target, bool):
             return _error("gaze_event needs an integer target", session_id)
-        if not 0 <= target < len(session.partner.gaze.weights):
+        if not 0 <= target < self.config.partner_model.num_targets:
             return _error("target out of range", session_id)
         session.ingest_gaze(target)
-        return DispatchResult(reply={"kind": "ack", "session": session_id})
+        return {"kind": "ack", "session": session_id}
 
-    def _query_strategy(self, session_id: str, session: Session, message: Mapping[str, Any]) -> DispatchResult:
+    def _query_strategy(self, session_id: str, session: Session, message: Mapping[str, Any]) -> dict[str, Any]:
         task = message.get("task")
         if not isinstance(task, str) or not task:
             return _error("query_strategy needs a task string", session_id)
         result = session.query(task)
         capacity, gaze, task_class = result.triple.as_labels()
-        return DispatchResult(
-            reply={
-                "kind": "strategy_response",
-                "session": session_id,
-                "negation": result.action.negation.value,
-                "hesitation": result.action.hesitation.value,
-                "state": result.state.value,
-                "triple": [capacity, gaze, task_class],
-            },
-            arm_timeout=session_id,
-        )
+        return {
+            "kind": "strategy_response",
+            "session": session_id,
+            "negation": result.action.negation.value,
+            "hesitation": result.action.hesitation.value,
+            "state": result.state.value,
+            "triple": [capacity, gaze, task_class],
+        }
 
-    def _task_performance(self, session_id: str, session: Session, message: Mapping[str, Any]) -> DispatchResult:
+    def _task_performance(self, session_id: str, session: Session, message: Mapping[str, Any]) -> dict[str, Any]:
         if session.pending_task is None:
             return _error("no pending query", session_id)
         task = message.get("task")
@@ -169,24 +169,18 @@ class StrategyService:
             )
         performance = _parse_performance(message)
         record = session.complete(performance)
-        return DispatchResult(
-            reply={
-                "kind": "episode_result",
-                "session": session_id,
-                "episode": record.index,
-                "reward": record.reward,
-                "cumulative_reward": record.cumulative_reward,
-            },
-            disarm_timeout=session_id,
-        )
+        return {
+            "kind": "episode_result",
+            "session": session_id,
+            "episode": record.index,
+            "reward": record.reward,
+            "cumulative_reward": record.cumulative_reward,
+        }
 
-    def _close_session(self, session_id: str, session: Session, message: Mapping[str, Any]) -> DispatchResult:
+    def _close_session(self, session_id: str, session: Session, message: Mapping[str, Any]) -> dict[str, Any]:
         del self.sessions[session_id]
         session.abort_pending()
-        return DispatchResult(
-            reply={"kind": "session_closed", "session": session_id},
-            disarm_timeout=session_id,
-        )
+        return {"kind": "session_closed", "session": session_id}
 
     _HANDLERS = {
         "gaze_event": _gaze_event,
@@ -204,14 +198,13 @@ class StrategyService:
         the query already resolved.
         """
         session = self.sessions.get(session_id)
-        if session is None or session.pending_task is None:
+        if session is None or session.abort_pending() is None:
             return None
-        session.abort_pending()
-        return _error("task_performance timeout", session_id).reply
+        return _error("task_performance timeout", session_id)
 
 
 def _parse_performance(message: Mapping[str, Any]) -> TaskPerformance:
-    values: list[Any] = []
+    fields: dict[str, Any] = {}
     for dimension in ("comprehension", "enabledness"):
         payload = message.get(dimension)
         if not isinstance(payload, Mapping):
@@ -222,13 +215,14 @@ def _parse_performance(message: Mapping[str, Any]) -> TaskPerformance:
             raise ValueError(f"{dimension}.success must be a boolean")
         if isinstance(elapsed, bool) or not isinstance(elapsed, (int, float)):
             raise ValueError(f"{dimension}.time must be a number")
-        values += (success, float(elapsed))
-    # TaskPerformance's fields are (ok, time) per dimension, in this order.
-    return TaskPerformance(*values)
+        fields.update({f"{dimension}_ok": success, f"{dimension}_time": float(elapsed)})
+    return TaskPerformance(**fields)
 
 
 # Longest line content served; a longer line gets one "line too long" reply.
 _LINE_LIMIT = 1 << 16
+# Replies that end their session's pending query, and so stop its clock.
+_DISARMING = ("episode_result", "session_closed")
 # Replies are written and drained before their batch would pass this many
 # bytes, so a client that never reads holds at most about twice this in the
 # server's transport.
@@ -338,22 +332,23 @@ class TcpServer:
         pending = 0
         for line in lines:
             if len(line) > _LINE_LIMIT:
-                result = _error("line too long")
+                reply = _error("line too long")
             else:
-                result = self.service.dispatch(line.decode("utf-8", errors="replace"))
-            if result.disarm_timeout:
-                self._timers.pop(result.disarm_timeout, None)
-            reply = serialize(result.reply)
-            if replies and pending + len(reply) > _FLUSH_BYTES:
+                reply = self.service.dispatch(line.decode("utf-8", errors="replace")).reply
+            kind = reply["kind"]
+            if kind in _DISARMING:
+                self._timers.pop(reply["session"], None)
+            data = serialize(reply)
+            if replies and pending + len(data) > _FLUSH_BYTES:
                 writer.write(b"".join(replies))
                 await writer.drain()
                 replies.clear()
                 pending = 0
-            replies.append(reply)
-            pending += len(reply)
+            replies.append(data)
+            pending += len(data)
             # Armed once its reply is queued: a timeout error never overtakes it.
-            if result.arm_timeout:
-                self._arm(result.arm_timeout, writer)
+            if kind == "strategy_response":
+                self._arm(reply["session"], writer)
         if replies:
             writer.write(b"".join(replies))
             await writer.drain()

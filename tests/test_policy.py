@@ -339,6 +339,19 @@ class TestSnapshot:
         assert loaded.values == qtable.values
         assert loaded.visits == qtable.visits
 
+    @staticmethod
+    def save_with(path, column, bad):
+        """Save a blank table with ``bad`` in ``column`` of its eighth row; returns the rows."""
+        QTable().save(path)
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        rows[7][column] = bad
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        return rows
+
     @pytest.mark.parametrize(
         "column, bad",
         [
@@ -354,18 +367,22 @@ class TestSnapshot:
         # A NaN cell would be picked as the argmax (list.count and list.index
         # match it by identity), and an inf cell turns NaN after one update.
         path = tmp_path / "snapshot.csv"
-        QTable().save(path)
-        with open(path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.DictReader(handle))
-        rows[7][column] = bad
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        rows = self.save_with(path, column, bad)
         with pytest.raises(ValueError) as info:
             QTable.load(path)
         assert rows[7]["state"] in str(info.value)
         assert rows[7]["action"] in str(info.value)
+
+    @pytest.mark.parametrize(
+        "column, bad",
+        [("state", "Calm"), ("action", "shout"), ("action", "affirmation+mumble")],
+    )
+    def test_unknown_label_names_its_row(self, tmp_path, column, bad):
+        path = tmp_path / "snapshot.csv"
+        self.save_with(path, column, bad)
+        # The header is row 1, so rows[7] is row 9.
+        with pytest.raises(ValueError, match=re.escape(f"row 9: unknown {column} {bad!r}")):
+            QTable.load(path)
 
     @staticmethod
     def rewrite(path, keep):

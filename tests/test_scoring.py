@@ -116,6 +116,21 @@ class TestTableContent:
         with pytest.raises(ValueError, match=key):
             build(default_table, bad)
 
+    @pytest.mark.parametrize("bad", [True, "2", None])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda table, bad: table.reweighted(NEGATION, bad),
+            lambda table, bad: ScoringTable(entries=table.entries, weights={NEGATION: bad}),
+        ],
+        ids=["reweighted", "weights"],
+    )
+    def test_weight_must_be_a_number(self, default_table, build, bad):
+        # float() read True as 1.0 and "2" as 2.0, and raised TypeError for None.
+        with pytest.raises(ValueError, match="weight of 'negation'"):
+            build(default_table, bad)
+        assert build(default_table, 2).weights[NEGATION] == 2.0
+
     @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", float("inf"), 0, -1])
     def test_score_max_must_be_a_positive_int(self, default_table, bad):
         # int() read 2.5 as 2, True as 1 and "3" as 3, and raised

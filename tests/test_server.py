@@ -4,7 +4,9 @@ import json
 import logging
 import math
 import random
+import re
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 
 from scaffolder.config import config_digest, load_config
 from scaffolder.server import StrategyService, TcpServer, serialize
+
+README = Path(__file__).parent.parent / "README.md"
 
 
 def golden_config(data_dir):
@@ -288,6 +292,21 @@ class TestProtocolValidation:
         ).reply
         assert good["kind"] == "episode_result"
         assert good["episode"] == 1
+
+    def test_readme_request_table_matches_the_handlers(self, service):
+        # README's wire-protocol table names each request kind and its success reply.
+        section = README.read_text(encoding="utf-8").split("## Wire protocol", 1)[1].split("\n## ", 1)[0]
+        documented = {}
+        for row in section.splitlines():
+            if row.startswith("| `"):
+                cells = row.strip("|").split("|")
+                documented[cells[0].strip().strip("`")] = re.match(r"`(\w+)`", cells[-1].strip()).group(1)
+        assert set(documented) == {"open_session", *StrategyService._HANDLERS}
+        served = {
+            json.loads(line)["kind"]: service.dispatch(line.decode()).reply["kind"]
+            for line in (OPEN, GAZE, QUERY, PERFORMANCE, CLOSE)
+        }
+        assert documented == served
 
     def test_close_unknown_session(self, service):
         reply = service.dispatch('{"kind":"close_session","session":"s-9"}').reply
@@ -715,6 +734,8 @@ class TestLineFraming:
 
 
 QUERY = b'{"kind":"query_strategy","session":"s-000001","task":"t"}'
+CLOSE = b'{"kind":"close_session","session":"s-000001"}'
+GAZE = b'{"kind":"gaze_event","session":"s-000001","target":0}'
 PERFORMANCE = json.dumps(
     {
         "kind": "task_performance",
@@ -736,6 +757,72 @@ def for_session(line, number):
 
 def short_timeout_config(data_dir):
     return load_config(data_dir / "golden_config.yaml", overrides={"server": {"query_timeout": 0.05}})
+
+
+def performance_with(**fields):
+    """PERFORMANCE with some of its fields replaced."""
+    return json.dumps({**json.loads(PERFORMANCE), **fields}).encode("utf-8")
+
+
+class TestClockRules:
+    """Which replies start a session's query clock, which stop it, and which leave it."""
+
+    @staticmethod
+    def timers_around(data_dir, script, probe):
+        """Send ``script``, then ``probe``: the server's timers before and after
+        the probe's reply, that reply, and the loop time the probe was sent at."""
+
+        async def scenario():
+            async with connected(golden_config(data_dir)) as (server, reader, writer):
+                writer.write(b"".join(line + b"\n" for line in script))
+                for _ in script:
+                    await asyncio.wait_for(reader.readline(), timeout=5)
+                # Let the clock move on, so a re-armed deadline differs from the held one.
+                await asyncio.sleep(0.01)
+                before, sent = dict(server._timers), asyncio.get_running_loop().time()
+                writer.write(probe + b"\n")
+                reply = json.loads(await asyncio.wait_for(reader.readline(), timeout=5))
+                return before, dict(server._timers), reply, sent
+
+        return asyncio.run(scenario())
+
+    def test_strategy_response_arms_its_session(self, data_dir):
+        before, after, reply, sent = self.timers_around(data_dir, [OPEN], QUERY)
+        assert reply["kind"] == "strategy_response"
+        assert before == {}
+        assert list(after) == ["s-000001"]
+        assert after["s-000001"][0] >= sent + golden_config(data_dir).server.query_timeout
+
+    @pytest.mark.parametrize(
+        "probe, kind",
+        [(PERFORMANCE, "episode_result"), (CLOSE, "session_closed")],
+        ids=["episode_result", "session_closed"],
+    )
+    def test_answer_or_close_disarms_its_session(self, data_dir, probe, kind):
+        before, after, reply, _ = self.timers_around(data_dir, [OPEN, QUERY], probe)
+        assert reply["kind"] == kind
+        assert list(before) == ["s-000001"]
+        assert after == {}
+
+    @pytest.mark.parametrize(
+        "probe, reason",
+        [
+            (QUERY, "query already pending"),
+            (performance_with(task="other"), "task mismatch"),
+            (performance_with(comprehension=None), "invalid message"),
+            (GAZE, None),
+            (b'{"kind":"close_session","session":"s-000009"}', "unknown session"),
+            (b"x" * (LINE_LIMIT + 1), "line too long"),
+        ],
+        ids=["second_query", "task_mismatch", "bad_payload", "gaze_event", "close_unknown", "too_long"],
+    )
+    def test_other_replies_keep_the_deadline(self, data_dir, probe, reason):
+        before, after, reply, _ = self.timers_around(data_dir, [OPEN, QUERY], probe)
+        assert reply["kind"] == ("ack" if reason is None else "error")
+        if reason is not None:
+            assert reply["reason"].startswith(reason)
+        assert list(before) == ["s-000001"]
+        assert after == before
 
 
 class TestPipelining:
